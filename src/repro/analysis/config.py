@@ -22,7 +22,6 @@ defaults reproduce the repo layout)::
     machine-modules = []          # extra machine hosts beyond detection
     protocols-module = "exec/protocols.py"
     services-protocol = "Services"
-    backends = ["exec/sim.py:SimServices", "exec/local.py:LocalServices"]
     banned-imports = ["sim", "exec.sim", "threading", "queue", "time"]  # + more defaults
 
     [tool.sim-lint.seed]          # SEED1xx seed-stream family
@@ -71,17 +70,11 @@ DEFAULT_BILLING_MODULES = (
 #: the same package-relative form the layer prefixes use
 DEFAULT_PACKAGE_NAME = "repro"
 
-#: module hosting the backend contract protocols (EXEC102/EXEC103)
+#: module hosting the backend contract (EXEC102 reads its verb table)
 DEFAULT_PROTOCOLS_MODULE = "exec/protocols.py"
 
 #: the data-plane protocol class machines yield tokens from
 DEFAULT_SERVICES_CLASS = "Services"
-
-#: ``module:Class`` per backend that must implement every Services method
-DEFAULT_EXEC_BACKENDS = (
-    "exec/sim.py:SimServices",
-    "exec/local.py:LocalServices",
-)
 
 #: modules (package-relative) machine hosts may never import — the sim
 #: kernel, the concrete backends, and host concurrency/clock/IO modules.
@@ -136,7 +129,6 @@ class SimLintConfig:
     exec_machine_modules: Tuple[str, ...] = ()
     exec_protocols_module: str = DEFAULT_PROTOCOLS_MODULE
     exec_services_class: str = DEFAULT_SERVICES_CLASS
-    exec_backends: Tuple[str, ...] = DEFAULT_EXEC_BACKENDS
     exec_banned_imports: Tuple[str, ...] = DEFAULT_EXEC_BANNED_IMPORTS
     seed_rng_factories: Tuple[str, ...] = DEFAULT_SEED_RNG_FACTORIES
     lock_modules: Tuple[str, ...] = DEFAULT_LOCK_MODULES
@@ -228,7 +220,6 @@ def config_from_table(table: dict) -> SimLintConfig:
         _take_list(exec_table, "machine-modules", kwargs, "exec_machine_modules")
         _take_str(exec_table, "protocols-module", kwargs, "exec_protocols_module")
         _take_str(exec_table, "services-protocol", kwargs, "exec_services_class")
-        _take_list(exec_table, "backends", kwargs, "exec_backends")
         _take_list(exec_table, "banned-imports", kwargs, "exec_banned_imports")
     seed_table = table.get("seed")
     if isinstance(seed_table, dict):

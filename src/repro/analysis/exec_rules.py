@@ -3,7 +3,7 @@
 The PR-5 seam — worker/supervisor/SSP loops and the platform job machine
 are plain generators yielding :class:`~repro.exec.protocols.Services`
 tokens, driven either by the DES sim or by real threads — is only worth
-anything if the machines *stay* neutral.  These rules make the three
+anything if the machines *stay* neutral.  These rules make the two
 ways the seam erodes a lint failure instead of a runtime surprise:
 
 ``EXEC101``
@@ -14,13 +14,11 @@ ways the seam erodes a lint failure instead of a runtime surprise:
 ``EXEC102``
     a machine yields something that is not a ``Services`` protocol call
     (or a ``yield from`` of another service generator) — the token would
-    be meaningful to at most one backend;
+    be meaningful to at most one backend.
 
-``EXEC103``
-    the ``Services`` protocol and its backend implementations drift: a
-    method exists on the protocol but not in every configured backend,
-    so the first job to use it dies with ``AttributeError`` on the
-    backend nobody tested.
+There is one ``Services`` class (``exec/protocols.py``) for every
+backend, so there are no per-backend copies whose drift a rule would
+have to catch.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Iterator, List, Optional, Tuple
 from .engine import FileContext, Finding, Rule
 from .project import MachineFunction, ProjectContext
 
-__all__ = ["EXEC_RULES", "MachineImportRule", "MachineYieldRule", "ServicesConformanceRule"]
+__all__ = ["EXEC_RULES", "MachineImportRule", "MachineYieldRule"]
 
 
 class ProjectRule(Rule):
@@ -164,74 +162,7 @@ def _own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-# -- EXEC103 ----------------------------------------------------------------
-
-
-class ServicesConformanceRule(ProjectRule):
-    """EXEC103: every ``Services`` method is implemented by every backend.
-
-    The protocol in ``exec/protocols.py`` is structural — nothing at
-    runtime forces ``SimServices`` and ``LocalServices`` to keep up with
-    it.  This rule compares the protocol's public method table against
-    each backend class configured in ``[tool.sim-lint.exec] backends``
-    (``"module:Class"`` entries) and reports each missing method, so
-    adding a service verb without implementing it everywhere is a lint
-    error at commit time, not an ``AttributeError`` in the first job
-    that exercises the forgotten backend.
-    """
-
-    id = "EXEC103"
-    title = "Services protocol method missing from a backend"
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        services = project.services_methods()
-        if services is None:
-            return
-        for module, cls_name, cls_def in project.backend_classes():
-            info = project.modules[module]
-            if cls_def is None:
-                yield Finding(
-                    rule=self.id,
-                    path=str(info.ctx.path),
-                    module=module,
-                    line=1,
-                    col=1,
-                    message=(
-                        f"configured Services backend class `{cls_name}` does "
-                        f"not exist in {module}; update the class or "
-                        "`[tool.sim-lint.exec] backends`"
-                    ),
-                    snippet=f"{cls_name} (missing class)",
-                )
-                continue
-            implemented = {
-                item.name
-                for item in cls_def.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            for name in sorted(services):
-                if name not in implemented:
-                    # Synthetic snippet: (rule, module, snippet) is the
-                    # baseline fingerprint, and the class-def source line
-                    # would collide for two different missing methods.
-                    yield Finding(
-                        rule=self.id,
-                        path=str(info.ctx.path),
-                        module=module,
-                        line=cls_def.lineno,
-                        col=cls_def.col_offset + 1,
-                        message=(
-                            f"`{cls_name}` does not implement "
-                            f"`Services.{name}`; a machine yielding "
-                            f"`sv.{name}(...)` would die with AttributeError "
-                            "on this backend"
-                        ),
-                        snippet=f"{cls_name}.{name} (missing)",
-                    )
-
-
 EXEC_RULES = (
     MachineImportRule(),
     MachineYieldRule(),
-    ServicesConformanceRule(),
 )

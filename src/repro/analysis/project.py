@@ -21,9 +21,8 @@ rule families (``EXEC1xx``/``SEED1xx``/``LOCK1xx``) check against:
 * **seed-stream call sites**: every ``streams.stream(...)``-shaped call,
   classified as a literal name, a dynamic name carrying a per-entity
   placeholder, or a dynamic name without one;
-* the **Services protocol surface**: the method table of the configured
-  ``Services`` protocol class plus each configured backend class, for
-  the conformance-drift check.
+* the **Services surface**: the verb table of the configured
+  ``Services`` class, which machine yields are checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from .astutils import build_import_map, is_generator_function, terminal_name
 from .config import SimLintConfig
@@ -130,7 +129,7 @@ class ProjectContext:
         return sorted(hosts)
 
     def services_methods(self) -> Optional[Dict[str, ast.FunctionDef]]:
-        """Method table of the configured ``Services`` protocol class.
+        """Method table of the configured ``Services`` class.
 
         ``None`` when the protocols module (or the class) is not part of
         this scan — the protocol-dependent rules then skip rather than
@@ -148,24 +147,6 @@ class ProjectContext:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not node.name.startswith("_")
         }
-
-    def backend_classes(self) -> List[Tuple[str, str, Optional[ast.ClassDef]]]:
-        """``(module, class name, class def or None)`` per configured backend.
-
-        Backends whose module is outside this scan are omitted entirely
-        (scanning a subtree must not report the rest of the repo as
-        missing); a backend whose module *is* scanned but lacks the class
-        comes back with ``None`` so the conformance rule can flag the
-        drifted class name.
-        """
-        out: List[Tuple[str, str, Optional[ast.ClassDef]]] = []
-        for spec in self.config.exec_backends:
-            module, _, cls_name = spec.partition(":")
-            info = self.modules.get(module)
-            if info is None:
-                continue
-            out.append((module, cls_name, info.classes.get(cls_name)))
-        return out
 
 
 # -- per-module collection -------------------------------------------------

@@ -10,22 +10,12 @@ from .history import RunResult, perf_per_dollar
 from .knee import KneedleDetector, SlopeKneeDetector
 from .pipeline import pipeline_stage_loop
 from .policies import SyncPolicy, gossip_policy, resolve_policy
+from .roles import role_loops
 from .runtime import JobRuntime, WorkerCheckpoint
 from .significance import SignificanceFilter, threshold_at
-from .ssp import ssp_supervisor_loop, ssp_worker_loop
 from .step_machine import supervisor_machine, worker_machine
 from .supervisor import SupervisorState, supervisor_loop
 from .worker import train_step, worker_loop
-
-# The FaaS-handler wrappers (backend-neutral machines driven on the DES)
-# keep their historical names importable from repro.core.
-from ..exec.sim import (  # noqa: E402  (re-export, import order is deliberate)
-    pipeline_stage_handler,
-    ssp_supervisor_handler,
-    ssp_worker_handler,
-    supervisor_handler,
-    worker_handler,
-)
 
 __all__ = [
     "JobConfig",
@@ -47,14 +37,8 @@ __all__ = [
     "ewma",
     "SlopeKneeDetector",
     "KneedleDetector",
-    "supervisor_handler",
-    "worker_handler",
-    "ssp_worker_handler",
-    "ssp_supervisor_handler",
     "supervisor_loop",
     "worker_loop",
-    "ssp_worker_loop",
-    "ssp_supervisor_loop",
     "train_step",
     "SupervisorState",
     "SyncPolicy",
@@ -66,5 +50,5 @@ __all__ = [
     "AdaptiveController",
     "AdaptiveDecision",
     "pipeline_stage_loop",
-    "pipeline_stage_handler",
+    "role_loops",
 ]

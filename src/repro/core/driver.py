@@ -12,18 +12,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from ..exec.sim import (
-    pipeline_stage_handler,
-    ssp_supervisor_handler,
-    ssp_worker_handler,
-    supervisor_handler,
-    worker_handler,
-)
+from ..exec.sim import as_sim_handler
 from ..faas import FaaSPlatform, FunctionSpec
 from ..pricing import CostMeter
 from ..sim import Environment, Interrupt
 from ..trace.tracer import NO_SPAN
 from .history import RunResult
+from .roles import role_loops
 from .runtime import JobRuntime
 
 __all__ = ["MLLessDriver"]
@@ -164,6 +159,8 @@ class MLLessDriver:
 
     # -- internals -------------------------------------------------------
     def _function_names(self):
+        # The names appear in billing records and spans, so they keep
+        # saying which kind of job ran even where the machine is shared.
         if self.runtime.config.pipeline_stages > 1:
             # Model-parallel: one stage function per "worker" slot, the
             # ordinary barrier supervisor.
@@ -173,19 +170,13 @@ class MLLessDriver:
         return "mlless-worker", "mlless-supervisor"
 
     def _register_functions(self) -> None:
-        memory = self.runtime.config.worker_memory_mb
-        worker_fn, supervisor_fn = self._function_names()
-        handlers = {
-            "mlless-worker": worker_handler,
-            "mlless-supervisor": supervisor_handler,
-            "mlless-ssp-worker": ssp_worker_handler,
-            "mlless-ssp-supervisor": ssp_supervisor_handler,
-            "mlless-pipeline-stage": pipeline_stage_handler,
-        }
-        for name in (worker_fn, supervisor_fn):
+        config = self.runtime.config
+        for name, loop_fn in zip(self._function_names(), role_loops(config)):
             if not self.platform.is_registered(name):
                 self.platform.register(
-                    FunctionSpec(name, handlers[name], memory_mb=memory)
+                    FunctionSpec(
+                        name, as_sim_handler(loop_fn), memory_mb=config.worker_memory_mb
+                    )
                 )
 
     def _declare_channels(self) -> None:

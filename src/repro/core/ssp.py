@@ -35,10 +35,10 @@ from ..exec.protocols import ExecutionContext, Machine
 from . import messages
 from .policies import SCALE_CONFIGURED, SyncPolicy
 from .runtime import JobRuntime, WorkerCheckpoint
-from .step_machine import StepSpans, supervisor_machine, worker_machine
+from .step_machine import StepSpans
 from .worker import _fresh_checkpoint
 
-__all__ = ["ssp_worker_loop", "ssp_supervisor_loop", "GossipWorkerPhases"]
+__all__ = ["GossipWorkerPhases"]
 
 
 class _SSPView:
@@ -196,11 +196,6 @@ class GossipWorkerPhases:
         return None
 
 
-def ssp_worker_loop(ectx: ExecutionContext, payload: Dict[str, Any]) -> Machine:
-    """One SSP worker machine (the gossip family of the step machine)."""
-    return worker_machine(ectx, payload)
-
-
 def gossip_supervisor_epoch(
     ectx: ExecutionContext, payload: Dict[str, Any]
 ) -> Machine:
@@ -292,8 +287,3 @@ def gossip_supervisor_epoch(
         if clock.remaining_time(started) < config.relaunch_margin_s:
             yield sv.kv_set(runtime.supervisor_checkpoint_key, state)
             return {"outcome": "relaunch"}
-
-
-def ssp_supervisor_loop(ectx: ExecutionContext, payload: Dict[str, Any]) -> Machine:
-    """The SSP supervisor machine (the gossip family dispatcher)."""
-    return supervisor_machine(ectx, payload)

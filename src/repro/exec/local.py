@@ -1,28 +1,33 @@
 """Local execution backend: real threads, real queues, wall-clock time.
 
-The repo's first non-simulated execution path.  The *same* training
-machines that run on the DES (:mod:`repro.core.worker`,
-:mod:`repro.core.supervisor`, :mod:`repro.core.ssp`) run here on one OS
-thread per role, exchanging messages through real ``queue.Queue`` FIFOs
-and sharing lock-protected in-memory stores.  Gradients are the same real
-numpy arithmetic as everywhere else — here it simply takes however long
-it takes, and the :class:`~repro.core.history.RunResult` reports genuine
-elapsed seconds.
+The *same* training machines that run on the DES (:mod:`repro.core`) run
+here on one OS thread per role, exchanging messages through real
+``queue.Queue`` FIFOs and sharing lock-protected in-memory stores.
+Gradients are the same real numpy arithmetic as everywhere else — here
+it simply takes however long it takes, and the
+:class:`~repro.core.history.RunResult` reports genuine elapsed seconds.
 
-Token protocol: a :class:`LocalServices` method returns a **blocking
-closure**; :func:`drive` calls it and feeds the result (or throws the
-exception) back into the machine.  Blocking a closure blocks only its
-role's thread — exactly the semantics of a worker blocking on a barrier.
+Token protocol: a :class:`~repro.exec.protocols.Services` token is a
+thunk over one of the stores' **blocking** methods; :func:`drive` calls
+it and feeds the result (or throws the exception) back into the machine.
+Blocking blocks only its role's thread — exactly the semantics of a
+worker blocking on a barrier.
+
+The module has three parts: the stores, clock and spawner (threads and
+locks); :class:`HostJob`, the job skeleton every wall-clock backend
+shares — :mod:`repro.exec.procs` builds on it with processes in place of
+threads and a control server in place of the locked dict; and
+:func:`run_local_job`, which is what is left for this backend to say.
 
 Wall-clock reads (``time.monotonic``, ``time.sleep``) are *legal in this
 module only* — it is deliberately left out of sim-lint's
 ``simulated-layers`` (see ``pyproject.toml``), while everything under
 ``repro/exec/sim.py`` and the core machines remain lint-enforced pure.
 
-What this backend does **not** do:
+What the wall-clock backends do **not** do:
 
 * fault injection — the injector samples from the simulation's RNG
-  streams and steers simulated time; :func:`run_local_job` rejects
+  streams and steers simulated time; :func:`refuse_faults` rejects
   configs with a non-noop fault profile;
 * cost metering — there is no billed platform; the result carries an
   empty :class:`~repro.pricing.CostMeter` (total cost 0.0);
@@ -38,20 +43,18 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from queue import Empty, Queue
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.history import RunResult
-from ..core.pipeline import pipeline_stage_loop
+from ..core.roles import role_loops
 from ..core.runtime import JobRuntime
-from ..core.ssp import ssp_supervisor_loop, ssp_worker_loop
-from ..core.supervisor import supervisor_loop
-from ..core.worker import worker_loop
 from ..pricing import CostMeter
 from ..sim import Monitor
 from ..storage.errors import BucketNotFound, KeyNotFound, StorageError
 from .deadline import Deadline
-from .protocols import ExecutionContext, Machine
+from .protocols import ExecutionContext, Machine, Services
 
 __all__ = [
     "LocalClock",
@@ -59,10 +62,11 @@ __all__ = [
     "LocalKVStore",
     "LocalMessageQueue",
     "LocalExchange",
-    "LocalServices",
     "LocalSpawner",
-    "LocalExecutionContext",
+    "HostJob",
     "drive",
+    "refuse_faults",
+    "run_role",
     "run_local_job",
     "DATA_BUCKET",
 ]
@@ -73,15 +77,15 @@ DATA_BUCKET = "training-data"
 #: loudly with a StorageError instead of hanging the process forever
 _CONSUME_DEADLINE_S = 120.0
 
-#: after the supervisor finishes, how long to wait for worker threads
+#: after the supervisor finishes, how long to wait for the worker roles
 _WORKER_DRAIN_GRACE_S = 30.0
 
 
 def drive(machine: Machine) -> Any:
     """Run a machine to completion, resolving each token as a real call.
 
-    The local counterpart of :func:`repro.exec.sim.drive`: same feedback
-    loop, but tokens are blocking closures executed on this thread.
+    The host counterpart of :func:`repro.exec.sim.drive`: same feedback
+    loop, but calling a token blocks this thread and returns the result.
     """
     value: Any = None
     pending: Any = None
@@ -168,17 +172,38 @@ class LocalKVStore:
 
 
 class LocalMessageQueue:
-    """Named FIFO queues over ``queue.Queue`` (the RabbitMQ stand-in)."""
+    """Named FIFO queues (the RabbitMQ stand-in) over any ``Queue`` type.
 
-    def __init__(self):
-        self._queues: Dict[str, Queue] = {}
+    ``queue_factory`` is ``queue.Queue`` for threads and a fork
+    context's ``Queue`` for processes.  All queues are declared before
+    the roles start and the table is then sealed: a forked child
+    inherits the handles that exist at the fork, so a later declare
+    could not reach roles already running and is rejected.
+    """
+
+    def __init__(self, queue_factory: Callable[[], Any] = Queue):
+        self._queue_factory = queue_factory
+        self._queues: Dict[str, Any] = {}
+        self._sealed = False
         self._lock = threading.RLock()
 
     def declare(self, name: str) -> None:
         with self._lock:
-            self._queues.setdefault(name, Queue())
+            if name in self._queues:
+                return
+            if self._sealed:
+                raise StorageError(
+                    f"queue {name!r} declared after spawn — every queue "
+                    "must exist before the roles start"
+                )
+            self._queues[name] = self._queue_factory()
 
-    def _queue(self, name: str) -> Queue:
+    def seal(self) -> None:
+        """Called by the job just before the roles are started."""
+        with self._lock:
+            self._sealed = True
+
+    def _queue(self, name: str) -> Any:
         with self._lock:
             if name not in self._queues:
                 raise StorageError(f"queue {name!r} was never declared")
@@ -195,14 +220,16 @@ class LocalMessageQueue:
         except Empty:
             raise StorageError(
                 f"consume on {name!r} exceeded the {deadline.budget_s:.0f}s "
-                "local-backend deadline (deadlocked run?)"
+                "host-backend deadline (deadlocked run?)"
             ) from None
 
     def consume_with_timeout(
         self, name: str, timeout_s: float
     ) -> Optional[Dict[str, Any]]:
+        # Callers pass "time left" arithmetic that can dip below zero;
+        # Queue.get raises ValueError on a negative timeout.
         try:
-            return self._queue(name).get(timeout=timeout_s)
+            return self._queue(name).get(timeout=max(timeout_s, 0.0))
         except Empty:
             return None
 
@@ -245,82 +272,6 @@ class LocalExchange:
                 self.mq.publish(queue, message)
 
 
-class LocalServices:
-    """:class:`~repro.exec.protocols.Services` over the local stores.
-
-    Every data-plane method returns a zero-argument closure; the result
-    materializes when :func:`drive` calls it on the role's thread.
-    """
-
-    __slots__ = ("cos", "kv", "mq", "exchange")
-
-    def __init__(
-        self,
-        cos: LocalObjectStore,
-        kv: LocalKVStore,
-        mq: LocalMessageQueue,
-        exchange: LocalExchange,
-    ):
-        self.cos = cos
-        self.kv = kv
-        self.mq = mq
-        self.exchange = exchange
-
-    # -- object store ----------------------------------------------------
-    def cos_get(self, bucket: str, key: str) -> Callable[[], Any]:
-        return lambda: self.cos.get(bucket, key)
-
-    # -- KV store --------------------------------------------------------
-    def kv_set(self, key: str, value: Any) -> Callable[[], None]:
-        return lambda: self.kv.set(key, value)
-
-    def kv_get(self, key: str) -> Callable[[], Any]:
-        return lambda: self.kv.get(key)
-
-    def kv_get_or_none(self, key: str) -> Callable[[], Optional[Any]]:
-        return lambda: self.kv.get_or_none(key)
-
-    def kv_delete(self, key: str) -> Callable[[], None]:
-        return lambda: self.kv.delete(key)
-
-    def kv_exists(self, key: str) -> Callable[[], bool]:
-        return lambda: self.kv.exists(key)
-
-    # -- message queue ---------------------------------------------------
-    def mq_publish(self, queue: str, message: Dict[str, Any]) -> Callable[[], None]:
-        return lambda: self.mq.publish(queue, message)
-
-    def mq_consume(self, queue: str) -> Callable[[], Dict[str, Any]]:
-        return lambda: self.mq.consume(queue)
-
-    def mq_consume_with_timeout(
-        self, queue: str, timeout_s: float
-    ) -> Callable[[], Optional[Dict[str, Any]]]:
-        return lambda: self.mq.consume_with_timeout(queue, timeout_s)
-
-    def mq_drain(self, queue: str) -> Callable[[], List[Dict[str, Any]]]:
-        return lambda: self.mq.drain(queue)
-
-    # -- broadcast exchange ----------------------------------------------
-    def broadcast(
-        self, message: Dict[str, Any], exclude: str = ""
-    ) -> Callable[[], None]:
-        return lambda: self.exchange.publish(message, exclude=exclude)
-
-    def unbind(self, queue: str) -> None:
-        self.exchange.unbind(queue)
-
-    # -- execution accounting --------------------------------------------
-    def compute(self, cpu_seconds: float) -> Callable[[], None]:
-        """No artificial delay: the surrounding numpy arithmetic already
-        takes real CPU time here, which is the whole point of this
-        backend.  The calibrated estimate is simply discarded."""
-        return lambda: None
-
-    def sleep(self, seconds: float) -> Callable[[], None]:
-        return lambda: time.sleep(seconds)
-
-
 class LocalSpawner:
     """Detached machines become daemon threads (GC sweeps)."""
 
@@ -330,143 +281,201 @@ class LocalSpawner:
         ).start()
 
 
-class LocalExecutionContext(ExecutionContext):
-    """One shared context serves every role — the pieces are thread-safe."""
+# -- the job skeleton every wall-clock backend shares ------------------------
 
 
-def _run_role(
+def refuse_faults(config: Any, backend: str) -> None:
+    """Reject fault profiles, before anything is allocated."""
+    if config.faults is not None and not config.faults.is_noop():
+        raise ValueError(
+            f"the {backend} backend cannot inject faults — fault profiles "
+            "sample simulated RNG streams and steer simulated time; "
+            "run fault experiments on the sim backend"
+        )
+
+
+def _discard_estimate(cpu_seconds: float) -> None:
+    """Host ``compute``: no artificial delay.  The surrounding numpy
+    arithmetic already takes real CPU time here, which is the whole
+    point of a wall-clock backend; the calibrated estimate is dropped."""
+
+
+def run_role(
     loop_fn: Callable[[ExecutionContext, Dict[str, Any]], Machine],
     ectx: ExecutionContext,
     payload: Dict[str, Any],
-    results: Dict[str, Any],
-    errors: List[BaseException],
     role: str,
+    results_q: Any,
 ) -> None:
-    """Thread target: drive a role, re-entering on relaunch markers."""
+    """Thread/process target: drive a role, re-entering on relaunch markers.
+
+    Delivers ``(role, result, monitor)`` on ``results_q``.  The
+    supervisor ships its monitor with the result: in a forked role it
+    mutated a copy-on-write copy the parent never sees.  A failure is
+    delivered as an ``error`` outcome carrying the formatted traceback
+    (a traceback object does not cross a process boundary), which
+    :meth:`HostJob.finish` turns back into an exception in the caller.
+    """
     try:
         while True:
             result = drive(loop_fn(ectx, payload))
             if isinstance(result, dict) and result.get("outcome") == "relaunch":
                 payload = {**payload, "resume": True}
                 continue
-            results[role] = result
-            return
-    except BaseException as error:  # surfaced to the caller after join
-        errors.append(error)
-        results[role] = {"outcome": "error", "error": repr(error)}
-
-
-def run_local_job(
-    config: Any, max_duration_s: float = 600.0
-) -> RunResult:
-    """Train one MLLess job for real on local threads.
-
-    The local analogue of the simulator's
-    :class:`~repro.core.driver.MLLessDriver` run: stage the dataset,
-    declare the channels, run one thread per role, and assemble a
-    :class:`~repro.core.history.RunResult` whose ``started_at`` /
-    ``finished_at`` are genuine wall-clock seconds (cost is zero — there
-    is no billed platform).
-    """
-    if config.faults is not None and not config.faults.is_noop():
-        raise ValueError(
-            "the local backend cannot inject faults — fault profiles "
-            "sample simulated RNG streams and steer simulated time; "
-            "run fault experiments on the sim backend"
+            break
+        monitor = payload["runtime"].monitor if role == "supervisor" else None
+        results_q.put((role, result, monitor))
+    except Exception:  # role boundary: reported here, raised by the caller
+        results_q.put(
+            (role, {"outcome": "error", "error": traceback.format_exc()}, None)
         )
 
-    cos = LocalObjectStore()
+
+class HostJob:
+    """One wall-clock MLLess job: what the thread and process backends share.
+
+    The host analogue of the simulator's
+    :class:`~repro.core.driver.MLLessDriver`.  A backend supplies its
+    transport — the KV, message-queue and exchange handles — and turns
+    each of :meth:`roles` into an unstarted thread or process whose
+    target is :func:`run_role`.  Dataset staging, the
+    :class:`~repro.core.runtime.JobRuntime`, channel declaration, role
+    selection, waiting, failure surfacing and the
+    :class:`~repro.core.history.RunResult` (genuine wall-clock
+    ``started_at``/``finished_at``, zero cost) are here, once.
+    """
+
+    def __init__(
+        self,
+        config: Any,
+        backend: str,
+        max_duration_s: float,
+        mq: LocalMessageQueue,
+        kv: Any,
+        exchange: Any,
+    ):
+        self.backend = backend
+        self.max_duration_s = max_duration_s
+        self.cos = LocalObjectStore()
+        self.clock = LocalClock(max_duration_s=max_duration_s)
+        self.runtime = runtime = JobRuntime(
+            config=config,
+            cos=self.cos,
+            kv=kv,
+            mq=mq,
+            exchange=exchange,
+            bucket=DATA_BUCKET,
+            batch_keys=config.dataset.stage(self.cos, DATA_BUCKET),
+            partitions=config.dataset.partition(config.n_workers),
+            monitor=Monitor(),
+        )
+        #: the queues the backend must bind to its exchange
+        self.worker_queues = [
+            runtime.worker_queue(w) for w in range(config.n_workers)
+        ]
+        for queue in (runtime.supervisor_queue, *self.worker_queues):
+            mq.declare(queue)
+        mq.seal()
+        self.started_at = 0.0
+
+    def context(self, kv: Any, exchange: Any) -> ExecutionContext:
+        """The bundle a role runs against, over that role's own handles."""
+        services = Services(
+            self.cos, kv, self.runtime.mq, exchange, _discard_estimate, time.sleep
+        )
+        return ExecutionContext(services, self.clock, LocalSpawner())
+
+    def roles(self) -> Iterator[Tuple[str, Callable, Dict[str, Any]]]:
+        """``(role name, machine, payload)`` per role, supervisor first."""
+        runtime = self.runtime
+        worker_fn, supervisor_fn = role_loops(runtime.config)
+        yield "supervisor", supervisor_fn, {"runtime": runtime}
+        for w in range(runtime.config.n_workers):
+            yield f"worker-{w}", worker_fn, {"runtime": runtime, "worker_id": w}
+
+    def start(self, handles: Sequence[Any]) -> None:
+        """Start the role threads/processes, given in :meth:`roles` order."""
+        self.started_at = self.clock.now()
+        for handle in handles:
+            handle.start()
+
+    def finish(self, results_q: Any, handles: Sequence[Any]) -> RunResult:
+        """Wait for the started roles and assemble the result.
+
+        The supervisor decides when the job is over, so until it reports
+        the wait has the whole job budget; from then on everything left
+        — the remaining worker results and every join — shares *one*
+        drain budget (a field of stuck workers costs 30 s total, not
+        30 s each).  The first role to report an error fails the job at
+        once, with that role's traceback, instead of leaving its peers
+        to time out on a barrier that will never complete.
+        """
+        results: Dict[str, Any] = {}
+        monitor = self.runtime.monitor
+        deadline = Deadline(self.max_duration_s)
+        while len(results) < len(handles):
+            try:
+                role, result, shipped = results_q.get(timeout=deadline.remaining())
+            except Empty:
+                break
+            if isinstance(result, dict) and result.get("outcome") == "error":
+                raise StorageError(
+                    f"{self.backend} role {role} failed:\n{result['error']}"
+                )
+            results[role] = result
+            if role == "supervisor":
+                monitor = shipped
+                deadline = Deadline(_WORKER_DRAIN_GRACE_S)
+        if "supervisor" not in results:
+            raise StorageError(
+                f"{self.backend} supervisor did not finish within "
+                f"{self.max_duration_s:.0f}s"
+            )
+        for handle in handles:
+            handle.join(timeout=deadline.remaining())
+        finished_at = self.clock.now()
+
+        report = results["supervisor"] or {}
+        drained = sum(1 for worker in handles[1:] if not worker.is_alive())
+        return RunResult(
+            system=f"mlless-{self.backend}",
+            monitor=monitor,
+            meter=CostMeter(),
+            started_at=self.started_at,
+            finished_at=finished_at,
+            converged=bool(report.get("converged")),
+            final_loss=report.get("final_loss"),
+            total_steps=int(report.get("steps", 0)),
+            extras={
+                "stop_reason_is_target": float(report.get("converged", False)),
+                "workers_drained": float(drained),
+            },
+        )
+
+
+# -- the thread backend ------------------------------------------------------
+
+
+def run_local_job(config: Any, max_duration_s: float = 600.0) -> RunResult:
+    """Train one MLLess job for real, one OS thread per role."""
+    refuse_faults(config, "local")
     kv = LocalKVStore()
     mq = LocalMessageQueue()
     exchange = LocalExchange(mq, "mlless-broadcast")
-    clock = LocalClock(max_duration_s=max_duration_s)
-
-    batch_keys = config.dataset.stage(cos, DATA_BUCKET)
-    runtime = JobRuntime(
-        config=config,
-        cos=cos,
-        kv=kv,
-        mq=mq,
-        exchange=exchange,
-        bucket=DATA_BUCKET,
-        batch_keys=batch_keys,
-        partitions=config.dataset.partition(config.n_workers),
-        monitor=Monitor(),
-    )
-
-    mq.declare(runtime.supervisor_queue)
-    for w in range(config.n_workers):
-        queue = runtime.worker_queue(w)
-        mq.declare(queue)
+    job = HostJob(config, "local", max_duration_s, mq, kv, exchange)
+    for queue in job.worker_queues:
         exchange.bind(queue)
-
-    if config.pipeline_stages > 1:
-        worker_fn, supervisor_fn = pipeline_stage_loop, supervisor_loop
-    elif config.sync == "ssp":
-        worker_fn, supervisor_fn = ssp_worker_loop, ssp_supervisor_loop
-    else:
-        worker_fn, supervisor_fn = worker_loop, supervisor_loop
-    ectx = LocalExecutionContext(
-        services=LocalServices(cos, kv, mq, exchange),
-        clock=clock,
-        spawner=LocalSpawner(),
-    )
-
-    results: Dict[str, Any] = {}
-    errors: List[BaseException] = []
-    supervisor = threading.Thread(
-        target=_run_role,
-        args=(supervisor_fn, ectx, {"runtime": runtime}, results, errors,
-              "supervisor"),
-        name="role-supervisor",
-        daemon=True,
-    )
-    workers = [
+    # One shared context serves every role — the pieces are thread-safe.
+    ectx = job.context(kv, exchange)
+    results_q: Queue = Queue()
+    threads = [
         threading.Thread(
-            target=_run_role,
-            args=(worker_fn, ectx, {"runtime": runtime, "worker_id": w},
-                  results, errors, f"worker-{w}"),
-            name=f"role-worker-{w}",
+            target=run_role,
+            args=(loop_fn, ectx, payload, role, results_q),
+            name=f"role-{role}",
             daemon=True,
         )
-        for w in range(config.n_workers)
+        for role, loop_fn, payload in job.roles()
     ]
-
-    started_at = clock.now()
-    supervisor.start()
-    for thread in workers:
-        thread.start()
-
-    job_deadline = Deadline(max_duration_s)
-    supervisor.join(timeout=job_deadline.remaining())
-    if supervisor.is_alive():
-        raise StorageError(
-            f"local supervisor did not finish within {max_duration_s:.0f}s"
-        )
-    # One drain budget shared by *all* worker joins: a field of stuck
-    # workers costs 30 s total, not 30 s each.
-    drain = Deadline(_WORKER_DRAIN_GRACE_S)
-    for thread in workers:
-        thread.join(timeout=drain.remaining())
-    finished_at = clock.now()
-
-    if errors:
-        raise errors[0]
-
-    report = results.get("supervisor") or {}
-    stragglers = [t.name for t in workers if t.is_alive()]
-    extras = {
-        "stop_reason_is_target": float(report.get("converged", False)),
-        "workers_drained": float(len(workers) - len(stragglers)),
-    }
-    return RunResult(
-        system="mlless-local",
-        monitor=runtime.monitor,
-        meter=CostMeter(),
-        started_at=started_at,
-        finished_at=finished_at,
-        converged=bool(report.get("converged")),
-        final_loss=report.get("final_loss"),
-        total_steps=int(report.get("steps", 0)),
-        extras=extras,
-    )
+    job.start(threads)
+    return job.finish(results_q, threads)

@@ -4,10 +4,11 @@ The third execution backend.  The *same* generator machines that run on
 the DES (:mod:`repro.exec.sim`) and on threads (:mod:`repro.exec.local`)
 run here one OS process per role, so worker gradient math executes in
 parallel on real cores instead of interleaving under the GIL.  The
-token protocol is identical to the local backend: a
-:class:`ProcServices` method returns a **blocking closure**; the local
-backend's :func:`~repro.exec.local.drive` calls it inside the child and
-feeds the result back into the machine.
+token protocol and the job skeleton are the thread backend's
+(:class:`~repro.exec.local.HostJob`, :func:`~repro.exec.local.run_role`,
+:func:`~repro.exec.local.drive` inside each child); this module only
+supplies a transport that crosses process boundaries and the fork
+choreography.
 
 Substrate, piece by piece:
 
@@ -15,15 +16,16 @@ Substrate, piece by piece:
   staged dataset and the job config are inherited copy-on-write —
   children never re-pickle mini-batches, and ``cos_get`` in a child is
   a zero-copy dict lookup exactly as in the local backend.
-* **Message queues** are per-name ``multiprocessing.Queue`` FIFOs
-  created before the fork; consumes are bounded by the shared
-  :class:`~repro.exec.deadline.Deadline` discipline so a deadlocked run
-  fails loudly.
+* **Message queues** are the thread backend's
+  :class:`~repro.exec.local.LocalMessageQueue` over per-name
+  ``multiprocessing.Queue`` FIFOs, all created before the fork.
 * **KV store and exchange bindings** live in a control-server *thread
   in the parent* that owns a plain dict and answers request/reply
   queues.  ``kv_set`` is a synchronous round trip (the happens-before
   edge workers rely on: set the update, then announce it), while
   ``kv_delete`` — only used by detached GC sweeps — is fire-and-forget.
+  :class:`ProcExchange` fans a broadcast out from the caller's process
+  to whatever queues the server currently lists as bound.
 * **Model/gradient buffers** go through a :class:`ShmArena`: one
   ``multiprocessing.shared_memory`` block whose per-tensor layout is
   negotiated at spawn.  A worker's significant update is written into
@@ -51,41 +53,30 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import threading
-import time
 from multiprocessing import shared_memory
 from queue import Empty
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.history import RunResult
-from ..core.runtime import JobRuntime
-from ..core.ssp import ssp_supervisor_loop, ssp_worker_loop
-from ..core.supervisor import supervisor_loop
-from ..core.worker import worker_loop
 from ..ml.parameters import ModelUpdate, ParameterSet
 from ..ml.sparse import SparseDelta
-from ..pricing import CostMeter
-from ..sim import Monitor
 from ..storage.errors import KeyNotFound, StorageError
 from .deadline import Deadline
 from .local import (
-    DATA_BUCKET,
-    LocalClock,
-    LocalObjectStore,
-    LocalSpawner,
-    drive,
+    HostJob,
+    LocalMessageQueue,
+    refuse_faults,
+    run_role,
     _CONSUME_DEADLINE_S,
     _WORKER_DRAIN_GRACE_S,
 )
-from .protocols import ExecutionContext
 
 __all__ = [
     "ShmArena",
     "ProcKVClient",
-    "ProcMessageQueue",
-    "ProcServices",
-    "ProcExecutionContext",
+    "ProcExchange",
     "run_procs_job",
 ]
 
@@ -93,8 +84,9 @@ __all__ = [
 _SHM_UPDATE = "shm-update"
 _SHM_DENSE = "shm-dense"
 
-#: how long the parent waits for role results beyond the job deadline
-_RESULT_POLL_S = 1.0
+#: the control server's ``get`` is bounded only so no blocking call is
+#: unbounded (LOCK103); it is woken by requests, never by this expiring
+_SERVER_POLL_S = 0.2
 
 
 # -- shared-memory arena ----------------------------------------------------
@@ -268,19 +260,19 @@ class _ControlServer(threading.Thread):
         self._reply_qs = reply_qs
         self._data: Dict[str, Any] = {}
         self._bindings: List[str] = list(bindings)
-        self._stop_event = threading.Event()
 
     def stop(self) -> None:
-        self._stop_event.set()
+        """Ask the loop to exit, on the queue it is already blocked on."""
+        self._request_q.put((-1, "stop", ()))
 
     def run(self) -> None:
         while True:
             try:
-                client, op, args = self._request_q.get(timeout=0.2)
+                client, op, args = self._request_q.get(timeout=_SERVER_POLL_S)
             except Empty:
-                if self._stop_event.is_set():
-                    return
                 continue
+            if op == "stop":
+                return
             reply = self._handle(op, args)
             if reply is not None:
                 self._reply_qs[client].put(reply)
@@ -427,190 +419,33 @@ def _shm_route(key: str, value: Any) -> Optional[Tuple[str, int, int]]:
     return None
 
 
-# -- message queues ----------------------------------------------------------
+# -- broadcast exchange ------------------------------------------------------
 
 
-class ProcMessageQueue:
-    """Named FIFO queues over ``multiprocessing.Queue``.
+class ProcExchange:
+    """Fan-out exchange whose binding list lives in the control server.
 
-    All queues are declared in the parent **before** the fork, so every
-    child inherits the same handles; a declare after spawn could not
-    reach already-running children and is rejected.
+    Bindings are shared and mutable (a departing worker unbinds its
+    queue), so they sit next to the KV dict in the parent; the fan-out
+    itself goes straight from the caller's process to the member queues.
     """
 
-    def __init__(self, ctx: Any):
-        self._ctx = ctx
-        self._queues: Dict[str, Any] = {}
-        self._sealed = False
+    __slots__ = ("_client", "_mq")
 
-    def declare(self, name: str) -> None:
-        if name in self._queues:
-            return
-        if self._sealed:
-            raise StorageError(
-                f"queue {name!r} declared after spawn — procs queues must "
-                "all exist before the fork"
-            )
-        self._queues[name] = self._ctx.Queue()
+    def __init__(self, client: ProcKVClient, mq: LocalMessageQueue):
+        self._client = client
+        self._mq = mq
 
-    def seal(self) -> None:
-        """Called by the parent just before forking the role processes."""
-        self._sealed = True
-
-    def _queue(self, name: str) -> Any:
-        queue = self._queues.get(name)
-        if queue is None:
-            raise StorageError(f"queue {name!r} was never declared")
-        return queue
-
-    def publish(self, name: str, message: Dict[str, Any]) -> None:
-        self._queue(name).put(message)
-
-    def consume(self, name: str) -> Dict[str, Any]:
-        """Blocking consume, bounded so deadlocks fail instead of hanging."""
-        deadline = Deadline(_CONSUME_DEADLINE_S)
-        try:
-            return self._queue(name).get(timeout=deadline.remaining())
-        except Empty:
-            raise StorageError(
-                f"consume on {name!r} exceeded the {deadline.budget_s:.0f}s "
-                "procs-backend deadline (deadlocked run?)"
-            ) from None
-
-    def consume_with_timeout(
-        self, name: str, timeout_s: float
-    ) -> Optional[Dict[str, Any]]:
-        try:
-            return self._queue(name).get(timeout=max(timeout_s, 0.0))
-        except Empty:
-            return None
-
-    def drain(self, name: str) -> List[Dict[str, Any]]:
-        queue = self._queue(name)
-        out: List[Dict[str, Any]] = []
-        while True:
-            try:
-                out.append(queue.get_nowait())
-            except Empty:
-                return out
-
-
-# -- the Services implementation ---------------------------------------------
-
-
-class ProcServices:
-    """:class:`~repro.exec.protocols.Services` across process boundaries.
-
-    Same token protocol as :class:`~repro.exec.local.LocalServices`:
-    every data-plane method returns a zero-argument blocking closure,
-    resolved by :func:`~repro.exec.local.drive` on the role's process.
-    """
-
-    __slots__ = ("cos", "kv", "mq")
-
-    def __init__(
-        self,
-        cos: LocalObjectStore,
-        kv: ProcKVClient,
-        mq: ProcMessageQueue,
-    ):
-        self.cos = cos
-        self.kv = kv
-        # The exchange has no object of its own: bindings live in the
-        # control server (shared, mutable) and fan-out publishes go
-        # straight to the member queues from the caller's process.
-        self.mq = mq
-
-    # -- object store ----------------------------------------------------
-    def cos_get(self, bucket: str, key: str) -> Callable[[], Any]:
-        return lambda: self.cos.get(bucket, key)
-
-    # -- KV store --------------------------------------------------------
-    def kv_set(self, key: str, value: Any) -> Callable[[], None]:
-        return lambda: self.kv.set(key, value)
-
-    def kv_get(self, key: str) -> Callable[[], Any]:
-        return lambda: self.kv.get(key)
-
-    def kv_get_or_none(self, key: str) -> Callable[[], Optional[Any]]:
-        return lambda: self.kv.get_or_none(key)
-
-    def kv_delete(self, key: str) -> Callable[[], None]:
-        return lambda: self.kv.delete(key)
-
-    def kv_exists(self, key: str) -> Callable[[], bool]:
-        return lambda: self.kv.exists(key)
-
-    # -- message queue ---------------------------------------------------
-    def mq_publish(self, queue: str, message: Dict[str, Any]) -> Callable[[], None]:
-        return lambda: self.mq.publish(queue, message)
-
-    def mq_consume(self, queue: str) -> Callable[[], Dict[str, Any]]:
-        return lambda: self.mq.consume(queue)
-
-    def mq_consume_with_timeout(
-        self, queue: str, timeout_s: float
-    ) -> Callable[[], Optional[Dict[str, Any]]]:
-        return lambda: self.mq.consume_with_timeout(queue, timeout_s)
-
-    def mq_drain(self, queue: str) -> Callable[[], List[Dict[str, Any]]]:
-        return lambda: self.mq.drain(queue)
-
-    # -- broadcast exchange ----------------------------------------------
-    def broadcast(
-        self, message: Dict[str, Any], exclude: str = ""
-    ) -> Callable[[], None]:
-        def _publish() -> None:
-            for queue in self.kv.bindings():
-                if queue != exclude:
-                    self.mq.publish(queue, message)
-
-        return _publish
+    def publish(self, message: Dict[str, Any], exclude: str = "") -> None:
+        for queue in self._client.bindings():
+            if queue != exclude:
+                self._mq.publish(queue, message)
 
     def unbind(self, queue: str) -> None:
-        self.kv.unbind(queue)
-
-    # -- execution accounting --------------------------------------------
-    def compute(self, cpu_seconds: float) -> Callable[[], None]:
-        """As in the local backend: the numpy arithmetic itself takes the
-        real CPU time; the calibrated estimate is discarded."""
-        return lambda: None
-
-    def sleep(self, seconds: float) -> Callable[[], None]:
-        return lambda: time.sleep(seconds)
+        self._client.unbind(queue)
 
 
-class ProcExecutionContext(ExecutionContext):
-    """One per role process; the services inside carry that role's client."""
-
-
-# -- role processes ----------------------------------------------------------
-
-
-def _role_main(
-    loop_fn: Callable[[ExecutionContext, Dict[str, Any]], Any],
-    ectx: ExecutionContext,
-    payload: Dict[str, Any],
-    role: str,
-    results_q: Any,
-) -> None:
-    """Process target: drive a role, re-entering on relaunch markers.
-
-    Mirrors the local backend's ``_run_role``; the supervisor ships its
-    monitor back with the result (it mutated a copy-on-write copy the
-    parent never sees).
-    """
-    try:
-        while True:
-            result = drive(loop_fn(ectx, payload))
-            if isinstance(result, dict) and result.get("outcome") == "relaunch":
-                payload = {**payload, "resume": True}
-                continue
-            break
-        monitor = payload["runtime"].monitor if role == "supervisor" else None
-        results_q.put((role, result, monitor))
-    except BaseException as error:  # surfaced to the parent after join
-        results_q.put((role, {"outcome": "error", "error": repr(error)}, None))
+# -- the job ------------------------------------------------------------------
 
 
 def _negotiated_shapes(config: Any) -> Dict[str, Tuple[int, ...]]:
@@ -631,19 +466,19 @@ def _negotiated_shapes(config: Any) -> Dict[str, Tuple[int, ...]]:
 def run_procs_job(config: Any, max_duration_s: float = 600.0) -> RunResult:
     """Train one MLLess job for real, one OS process per role.
 
-    Parent-side choreography: stage the dataset and create every shared
-    structure *before* the fork (queues, reply channels, the shm
-    arena), fork one daemon process per role, then start the control
-    server thread — started strictly after the fork so no thread can
-    hold a queue lock at fork time.  Results and the supervisor's
-    monitor come back over a results queue; joins share deadlines so a
-    field of stuck workers costs one grace budget, not one each.
+    Parent-side choreography: create every shared structure *before*
+    the fork (queues, reply channels, the shm arena, the staged dataset
+    inside :class:`~repro.exec.local.HostJob`), fork one daemon process
+    per role, then start the control server thread — started strictly
+    after the fork so no thread can hold a queue lock at fork time.
+    Results and the supervisor's monitor come back over a results
+    queue; whatever happens, every child is reaped and the arena freed.
     """
-    if config.faults is not None and not config.faults.is_noop():
+    refuse_faults(config, "procs")
+    if config.pipeline_stages > 1:
         raise ValueError(
-            "the procs backend cannot inject faults — fault profiles "
-            "sample simulated RNG streams and steer simulated time; "
-            "run fault experiments on the sim backend"
+            "the procs backend does not support pipeline-parallel jobs; "
+            "use the sim or local backend"
         )
     try:
         ctx = mp.get_context("fork")
@@ -653,12 +488,7 @@ def run_procs_job(config: Any, max_duration_s: float = 600.0) -> RunResult:
             "(copy-on-write dataset staging); this platform has none"
         ) from None
 
-    cos = LocalObjectStore()
-    clock = LocalClock(max_duration_s=max_duration_s)
-    batch_keys = config.dataset.stage(cos, DATA_BUCKET)
-
-    n_workers = config.n_workers
-    n_roles = 1 + n_workers  # supervisor + workers
+    n_roles = 1 + config.n_workers  # supervisor + workers
     request_q = ctx.Queue()
     results_q = ctx.Queue()
     #: one reply queue per role, plus one for the parent itself
@@ -667,138 +497,41 @@ def run_procs_job(config: Any, max_duration_s: float = 600.0) -> RunResult:
     # SSP's staleness window breaks the parity-slot reuse argument, so
     # only barrier-synchronized jobs negotiate the shm arena.
     arena = (
-        ShmArena(_negotiated_shapes(config), n_workers)
+        ShmArena(_negotiated_shapes(config), config.n_workers)
         if config.sync != "ssp"
         else None
     )
+    mq = LocalMessageQueue(ctx.Queue)
 
-    mq = ProcMessageQueue(ctx)
-    parent_kv = ProcKVClient(n_roles, request_q, reply_qs[n_roles], arena)
-    runtime = JobRuntime(
-        config=config,
-        cos=cos,
-        kv=parent_kv,
-        mq=mq,
-        exchange=parent_kv,  # bindings live in the control server
-        bucket=DATA_BUCKET,
-        batch_keys=batch_keys,
-        partitions=config.dataset.partition(n_workers),
-        monitor=Monitor(),
-    )
+    def transport(client_id: int) -> Tuple[ProcKVClient, ProcExchange]:
+        kv = ProcKVClient(client_id, request_q, reply_qs[client_id], arena)
+        return kv, ProcExchange(kv, mq)
 
-    mq.declare(runtime.supervisor_queue)
-    bindings = []
-    for w in range(n_workers):
-        queue = runtime.worker_queue(w)
-        mq.declare(queue)
-        bindings.append(queue)
-    mq.seal()
-
-    if config.pipeline_stages > 1:
-        raise ValueError(
-            "the procs backend does not support pipeline-parallel jobs; "
-            "use the sim or local backend"
-        )
-    if config.sync == "ssp":
-        worker_fn, supervisor_fn = ssp_worker_loop, ssp_supervisor_loop
-    else:
-        worker_fn, supervisor_fn = worker_loop, supervisor_loop
-
-    def role_process(role_idx: int, role: str, loop_fn, payload) -> Any:
-        kv = ProcKVClient(role_idx, request_q, reply_qs[role_idx], arena)
-        ectx = ProcExecutionContext(
-            services=ProcServices(cos, kv, mq),
-            clock=clock,
-            spawner=LocalSpawner(),
-        )
-        return ctx.Process(
-            target=_role_main,
-            args=(loop_fn, ectx, payload, role, results_q),
+    job = HostJob(config, "procs", max_duration_s, mq, *transport(n_roles))
+    procs = [
+        ctx.Process(
+            target=run_role,
+            args=(loop_fn, job.context(*transport(idx)), payload, role, results_q),
             name=f"role-{role}",
             daemon=True,
         )
-
-    supervisor = role_process(
-        0, "supervisor", supervisor_fn, {"runtime": runtime}
-    )
-    workers = [
-        role_process(
-            1 + w, f"worker-{w}", worker_fn,
-            {"runtime": runtime, "worker_id": w},
-        )
-        for w in range(n_workers)
+        for idx, (role, loop_fn, payload) in enumerate(job.roles())
     ]
-
-    started_at = clock.now()
-    supervisor.start()
-    for proc in workers:
-        proc.start()
+    job.start(procs)
     # Strictly after the fork: a running server thread could hold a
     # queue's internal lock at fork time and deadlock every child.
-    server = _ControlServer(request_q, reply_qs, bindings)
+    server = _ControlServer(request_q, reply_qs, job.worker_queues)
     server.start()
-
-    results: Dict[str, Any] = {}
-    monitor: Optional[Monitor] = None
-    job_deadline = Deadline(max_duration_s)
     try:
-        while len(results) < n_roles and not job_deadline.expired():
-            try:
-                role, result, shipped = results_q.get(
-                    timeout=min(_RESULT_POLL_S, max(job_deadline.remaining(), 0.05))
-                )
-            except Empty:
-                continue
-            results[role] = result
-            if shipped is not None:
-                monitor = shipped
-
-        supervisor.join(timeout=job_deadline.remaining())
-        if supervisor.is_alive() or "supervisor" not in results:
-            raise StorageError(
-                f"procs supervisor did not finish within {max_duration_s:.0f}s"
-            )
-        # One drain budget shared by *all* worker joins (Deadline
-        # discipline — 30 s total, not 30 s per worker).
-        drain = Deadline(_WORKER_DRAIN_GRACE_S)
-        for proc in workers:
-            proc.join(timeout=drain.remaining())
-        finished_at = clock.now()
-        drained = sum(1 for proc in workers if not proc.is_alive())
+        return job.finish(results_q, procs)
     finally:
-        for proc in (supervisor, *workers):
+        for proc in procs:
             if proc.is_alive():
                 proc.terminate()
         reap = Deadline(_WORKER_DRAIN_GRACE_S)
-        for proc in (supervisor, *workers):
+        for proc in procs:
             proc.join(timeout=reap.remaining())
         server.stop()
         server.join(timeout=5.0)
         if arena is not None:
             arena.close(unlink=True)
-
-    failures = [
-        (role, result)
-        for role, result in results.items()
-        if isinstance(result, dict) and result.get("outcome") == "error"
-    ]
-    if failures:
-        role, result = failures[0]
-        raise StorageError(f"procs role {role} failed: {result.get('error')}")
-
-    report = results.get("supervisor") or {}
-    extras = {
-        "stop_reason_is_target": float(report.get("converged", False)),
-        "workers_drained": float(drained),
-    }
-    return RunResult(
-        system="mlless-procs",
-        monitor=monitor if monitor is not None else runtime.monitor,
-        meter=CostMeter(),
-        started_at=started_at,
-        finished_at=finished_at,
-        converged=bool(report.get("converged")),
-        final_loss=report.get("final_loss"),
-        total_steps=int(report.get("steps", 0)),
-        extras=extras,
-    )

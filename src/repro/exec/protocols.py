@@ -7,24 +7,27 @@ through the narrow interfaces defined here:
 
 ``Services``
     The data plane (object store, KV store, message queue, broadcast
-    exchange) plus CPU-time accounting and sleeping.  Each data-plane
-    method returns an opaque :class:`ServiceCall` token; the machine
-    **yields** the token and receives the operation's result at the same
-    ``yield`` expression.  Only the backend that minted a token knows how
-    to resolve it (the simulator ``yield from``\\ s a DES generator; the
-    local backend invokes a blocking closure), so machines stay
-    backend-neutral by construction.
+    exchange) plus CPU-time accounting and sleeping — one concrete class
+    over whatever handles a backend supplies.  Each data-plane method
+    returns an opaque :class:`ServiceCall` token; the machine **yields**
+    the token and receives the operation's result at the same ``yield``
+    expression.  A token is a zero-argument thunk over the handle's own
+    method; how its value is obtained is the backend's business (the
+    simulator ``yield from``\\ s the DES generator the thunk returns, the
+    host backends take the thunk's return value as the result), so
+    machines stay backend-neutral by construction.  This module imports
+    nothing host-side: sleeping and CPU charging are injected.
 
 ``Clock``
     Synchronous reads of the backend's notion of time: simulated seconds
     under :mod:`repro.exec.sim`, wall-clock seconds under
-    :mod:`repro.exec.local`.  Reading a clock never blocks and never
-    schedules anything.
+    :mod:`repro.exec.local` and :mod:`repro.exec.procs`.  Reading a
+    clock never blocks and never schedules anything.
 
 ``Spawner``
     Fire-and-forget execution of another machine (the supervisor's
     detached garbage-collection sweeps).  A DES process in the
-    simulator; a daemon thread in the local backend.
+    simulator; a daemon thread in the host backends.
 
 ``ExecutionContext``
     The bundle a machine receives: services + clock + spawner + tracer,
@@ -37,7 +40,8 @@ them instead of duck-typing ``Any``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Protocol, runtime_checkable
+from functools import partial
+from typing import Any, Callable, Dict, Generator, Optional, Protocol, runtime_checkable
 
 __all__ = [
     "ServiceCall",
@@ -51,9 +55,9 @@ __all__ = [
     "TracerLike",
 ]
 
-#: What a backend-neutral machine yields: an opaque token minted by the
-#: backend's :class:`Services`.  The simulator resolves it as a DES
-#: generator; the local backend calls it as a blocking closure.
+#: What a backend-neutral machine yields: an opaque token minted by
+#: :class:`Services`.  Calling it yields a DES generator under the
+#: simulator and blocks for the result under the host backends.
 ServiceCall = Any
 
 #: A backend-neutral state machine: yields :data:`ServiceCall` tokens,
@@ -61,47 +65,83 @@ ServiceCall = Any
 Machine = Generator
 
 
-class Services(Protocol):
+class Services:
     """The data plane a training machine may use, one method per verb.
 
-    Every method except :meth:`unbind` returns a :data:`ServiceCall` to
-    be yielded; results (and service errors) are delivered at the yield
-    expression.  ``unbind`` is control-plane metadata and synchronous in
-    every backend, so it is a plain call.
+    The one implementation, shared by every backend.  A backend hands in
+    the handles it already has — object store, KV store, message queue,
+    broadcast exchange — plus how CPU time is charged and how to sleep;
+    every verb except :meth:`unbind` returns a zero-argument thunk over
+    the handle's own method, to be yielded.  Nothing runs until the
+    backend's ``drive`` calls the thunk, so results (and service errors)
+    are delivered at the yield expression.  ``unbind`` is control-plane
+    metadata and synchronous in every backend, so it is a plain call.
     """
 
+    __slots__ = ("cos", "kv", "mq", "exchange", "_compute", "_sleep")
+
+    def __init__(
+        self,
+        cos: Any,
+        kv: Any,
+        mq: Any,
+        exchange: Any,
+        compute: Callable[[float], Any],
+        sleep: Callable[[float], Any],
+    ):
+        self.cos = cos
+        self.kv = kv
+        self.mq = mq
+        self.exchange = exchange
+        self._compute = compute
+        self._sleep = sleep
+
     # -- object store (mini-batches) ------------------------------------
-    def cos_get(self, bucket: str, key: str) -> ServiceCall: ...
+    def cos_get(self, bucket: str, key: str) -> ServiceCall:
+        return partial(self.cos.get, bucket, key)
 
     # -- KV store (updates, checkpoints, replicas) ----------------------
-    def kv_set(self, key: str, value: Any) -> ServiceCall: ...
+    def kv_set(self, key: str, value: Any) -> ServiceCall:
+        return partial(self.kv.set, key, value)
 
-    def kv_get(self, key: str) -> ServiceCall: ...
+    def kv_get(self, key: str) -> ServiceCall:
+        return partial(self.kv.get, key)
 
-    def kv_get_or_none(self, key: str) -> ServiceCall: ...
+    def kv_get_or_none(self, key: str) -> ServiceCall:
+        return partial(self.kv.get_or_none, key)
 
-    def kv_delete(self, key: str) -> ServiceCall: ...
+    def kv_delete(self, key: str) -> ServiceCall:
+        return partial(self.kv.delete, key)
 
-    def kv_exists(self, key: str) -> ServiceCall: ...
+    def kv_exists(self, key: str) -> ServiceCall:
+        return partial(self.kv.exists, key)
 
     # -- message queue (control messages) -------------------------------
-    def mq_publish(self, queue: str, message: Dict[str, Any]) -> ServiceCall: ...
+    def mq_publish(self, queue: str, message: Dict[str, Any]) -> ServiceCall:
+        return partial(self.mq.publish, queue, message)
 
-    def mq_consume(self, queue: str) -> ServiceCall: ...
+    def mq_consume(self, queue: str) -> ServiceCall:
+        return partial(self.mq.consume, queue)
 
-    def mq_consume_with_timeout(self, queue: str, timeout_s: float) -> ServiceCall: ...
+    def mq_consume_with_timeout(self, queue: str, timeout_s: float) -> ServiceCall:
+        return partial(self.mq.consume_with_timeout, queue, timeout_s)
 
-    def mq_drain(self, queue: str) -> ServiceCall: ...
+    def mq_drain(self, queue: str) -> ServiceCall:
+        return partial(self.mq.drain, queue)
 
     # -- broadcast exchange ---------------------------------------------
-    def broadcast(self, message: Dict[str, Any], exclude: str = "") -> ServiceCall: ...
+    def broadcast(self, message: Dict[str, Any], exclude: str = "") -> ServiceCall:
+        return partial(self.exchange.publish, message, exclude=exclude)
 
-    def unbind(self, queue: str) -> None: ...
+    def unbind(self, queue: str) -> None:
+        self.exchange.unbind(queue)
 
     # -- execution accounting -------------------------------------------
-    def compute(self, cpu_seconds: float) -> ServiceCall: ...
+    def compute(self, cpu_seconds: float) -> ServiceCall:
+        return partial(self._compute, cpu_seconds)
 
-    def sleep(self, seconds: float) -> ServiceCall: ...
+    def sleep(self, seconds: float) -> ServiceCall:
+        return partial(self._sleep, seconds)
 
 
 class Clock(Protocol):

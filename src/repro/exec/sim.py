@@ -6,10 +6,13 @@ in :mod:`repro.core` and the simulated cloud substrate (``Environment``,
 identical by construction** to the pre-refactor handlers that yielded
 DES events directly:
 
-* every :class:`SimServices` method returns *exactly* the simulated
-  service's process generator (``runtime.kv.get(key)`` and friends), and
-* :func:`drive` resolves each yielded token with ``yield from`` — the
-  same statement the old handlers contained inline,
+* every :class:`~repro.exec.protocols.Services` token is a thunk over
+  the simulated service's own method (``runtime.kv.get`` and friends,
+  ``ctx.compute``/``ctx.sleep`` for accounting), so calling it returns
+  *exactly* that service's process generator, and
+* :func:`drive` resolves each yielded token with ``yield from call()``
+  — generators are lazy, so this is the statement the old handlers
+  contained inline,
 
 so the kernel observes the same events, in the same order, drawn from
 the same RNG streams, at the same simulated times.  The determinism
@@ -27,34 +30,25 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator
 
-from ..core.pipeline import pipeline_stage_loop
-from ..core.ssp import ssp_supervisor_loop, ssp_worker_loop
-from ..core.supervisor import supervisor_loop
-from ..core.worker import worker_loop
-from .protocols import ExecutionContext, Machine
+from .protocols import ExecutionContext, Machine, Services
 
 __all__ = [
-    "SimServices",
     "SimClock",
     "SimSpawner",
     "SimExecutionContext",
     "drive",
     "as_sim_handler",
-    "worker_handler",
-    "supervisor_handler",
-    "ssp_worker_handler",
-    "ssp_supervisor_handler",
-    "pipeline_stage_handler",
 ]
 
 
 def drive(machine: Machine) -> Generator:
     """Process generator: resolve a machine's service calls on the DES.
 
-    Each token the machine yields is a simulation process generator; it
-    is exhausted with ``yield from`` and its return value (or exception)
-    is fed back into the machine.  The result is a generator with the
-    exact event footprint of the pre-refactor monolithic handlers.
+    Each token the machine yields is a thunk returning a simulation
+    process generator; that is exhausted with ``yield from`` and its
+    return value (or exception) is fed back into the machine.  The
+    result is a generator with the exact event footprint of the
+    pre-refactor monolithic handlers.
     """
     value: Any = None
     pending: Any = None
@@ -68,7 +62,7 @@ def drive(machine: Machine) -> Generator:
         except StopIteration as stop:
             return stop.value
         try:
-            value = yield from call
+            value = yield from call()
         except GeneratorExit:
             # The kernel is closing this process: close the machine (its
             # finally blocks run) and let the close propagate.
@@ -77,70 +71,6 @@ def drive(machine: Machine) -> Generator:
         except BaseException as error:  # delivered into the machine
             value = None
             pending = error
-
-
-class SimServices:
-    """:class:`~repro.exec.protocols.Services` over the simulated cloud.
-
-    Data-plane methods return the simulated services' own process
-    generators untouched; there is no wrapping layer that could add
-    events, latency samples, or RNG draws.
-    """
-
-    __slots__ = ("_ctx", "_runtime")
-
-    def __init__(self, ctx: Any, runtime: Any):
-        self._ctx = ctx
-        self._runtime = runtime
-
-    # -- object store ----------------------------------------------------
-    def cos_get(self, bucket: str, key: str):
-        return self._runtime.cos.get(bucket, key)
-
-    # -- KV store --------------------------------------------------------
-    def kv_set(self, key: str, value: Any):
-        return self._runtime.kv.set(key, value)
-
-    def kv_get(self, key: str):
-        return self._runtime.kv.get(key)
-
-    def kv_get_or_none(self, key: str):
-        return self._runtime.kv.get_or_none(key)
-
-    def kv_delete(self, key: str):
-        return self._runtime.kv.delete(key)
-
-    def kv_exists(self, key: str):
-        return self._runtime.kv.exists(key)
-
-    # -- message queue ---------------------------------------------------
-    def mq_publish(self, queue: str, message: Dict[str, Any]):
-        return self._runtime.mq.publish(queue, message)
-
-    def mq_consume(self, queue: str):
-        return self._runtime.mq.consume(queue)
-
-    def mq_consume_with_timeout(self, queue: str, timeout_s: float):
-        return self._runtime.mq.consume_with_timeout(queue, timeout_s)
-
-    def mq_drain(self, queue: str):
-        return self._runtime.mq.drain(queue)
-
-    # -- broadcast exchange ----------------------------------------------
-    def broadcast(self, message: Dict[str, Any], exclude: str = ""):
-        return self._runtime.exchange.publish(message, exclude=exclude)
-
-    def unbind(self, queue: str) -> None:
-        self._runtime.exchange.unbind(queue)
-
-    # -- execution accounting --------------------------------------------
-    def compute(self, cpu_seconds: float):
-        """Charge simulated CPU time via the activation (vCPU share,
-        straggler scale, compute span — see InvocationContext.compute)."""
-        return self._ctx.compute(cpu_seconds)
-
-    def sleep(self, seconds: float):
-        return self._ctx.sleep(seconds)
 
 
 class SimClock:
@@ -176,8 +106,13 @@ class SimExecutionContext(ExecutionContext):
     __slots__ = ("_ctx",)
 
     def __init__(self, ctx: Any, runtime: Any):
+        # CPU time and sleeps are charged via the activation (vCPU share,
+        # straggler scale, compute span — see InvocationContext.compute).
         super().__init__(
-            services=SimServices(ctx, runtime),
+            services=Services(
+                runtime.cos, runtime.kv, runtime.mq, runtime.exchange,
+                ctx.compute, ctx.sleep,
+            ),
             clock=SimClock(ctx),
             spawner=SimSpawner(ctx.env),
             tracer=ctx.tracer,
@@ -188,7 +123,7 @@ class SimExecutionContext(ExecutionContext):
         self._ctx.annotate(**attrs)
 
 
-def as_sim_handler(loop_fn: Callable[[ExecutionContext, Dict[str, Any]], Machine], doc: str = ""):
+def as_sim_handler(loop_fn: Callable[[ExecutionContext, Dict[str, Any]], Machine]):
     """Wrap a backend-neutral machine as a FaaS handler generator function.
 
     The returned callable satisfies the :class:`repro.faas.FunctionSpec`
@@ -201,17 +136,5 @@ def as_sim_handler(loop_fn: Callable[[ExecutionContext, Dict[str, Any]], Machine
 
     handler.__name__ = getattr(loop_fn, "__name__", "machine") + "_sim_handler"
     handler.__qualname__ = handler.__name__
-    handler.__doc__ = doc or f"FaaS handler driving {loop_fn.__name__} on the simulator."
+    handler.__doc__ = f"FaaS handler driving {loop_fn.__name__} on the simulator."
     return handler
-
-
-#: The paper's four roles as FaaS handlers (registered by the driver).
-worker_handler = as_sim_handler(worker_loop, "FaaS handler: the BSP/ISP worker machine.")
-supervisor_handler = as_sim_handler(supervisor_loop, "FaaS handler: the barrier supervisor machine.")
-ssp_worker_handler = as_sim_handler(ssp_worker_loop, "FaaS handler: the SSP worker machine.")
-ssp_supervisor_handler = as_sim_handler(
-    ssp_supervisor_loop, "FaaS handler: the SSP supervisor machine."
-)
-pipeline_stage_handler = as_sim_handler(
-    pipeline_stage_loop, "FaaS handler: one pipeline-parallel stage machine."
-)

@@ -32,9 +32,14 @@ __all__ = ["PoolRuntime", "SharedPool"]
 
 
 class PoolRuntime:
-    """Service handles a platform job machine reaches through ``ctx.services``."""
+    """Service handles a platform job machine reaches through ``ctx.services``.
+
+    Platform jobs use the KV store only; the other data-plane handles
+    are declared absent rather than left undefined.
+    """
 
     __slots__ = ("kv",)
+    cos = mq = exchange = None
 
     def __init__(self, kv: KVStore):
         self.kv = kv

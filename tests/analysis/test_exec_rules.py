@@ -11,22 +11,6 @@ PROTOCOLS = """
         def sleep(self, seconds): ...
 """
 
-SIM_BACKEND = """
-    class SimServices:
-        def kv_get(self, key): ...
-        def kv_set(self, key, value): ...
-        def mq_publish(self, topic, payload): ...
-        def sleep(self, seconds): ...
-"""
-
-LOCAL_BACKEND = """
-    class LocalServices:
-        def kv_get(self, key): ...
-        def kv_set(self, key, value): ...
-        def mq_publish(self, topic, payload): ...
-        def sleep(self, seconds): ...
-"""
-
 CLEAN_MACHINE = """
     def worker(sv, wid) -> "Machine":
         value = yield sv.kv_get(f"grad.{wid}")
@@ -42,8 +26,6 @@ CLEAN_MACHINE = """
 def base_files():
     return {
         "exec/protocols.py": PROTOCOLS,
-        "exec/sim.py": SIM_BACKEND,
-        "exec/local.py": LOCAL_BACKEND,
         "core/worker.py": CLEAN_MACHINE,
     }
 
@@ -67,7 +49,7 @@ def test_exec101_flags_banned_import_in_machine_module(lint_project):
 def test_exec101_flags_relative_backend_import(lint_project):
     files = base_files()
     files["core/worker.py"] = (
-        "\n    from ..exec.sim import SimServices\n" + files["core/worker.py"]
+        "\n    from ..exec.sim import drive\n" + files["core/worker.py"]
     )
     findings = lint_project(files, rules=EXEC_RULES)
     assert [f.rule for f in findings] == ["EXEC101"]
@@ -79,7 +61,7 @@ def test_exec101_ignores_modules_without_machines(lint_project):
     # a driver module may import anything: it hosts no machines
     files["core/driver.py"] = """
         import threading
-        from ..exec.sim import SimServices
+        from ..exec.sim import drive
     """
     assert lint_project(files, rules=EXEC_RULES) == []
 
@@ -146,42 +128,6 @@ def test_exec102_skips_when_protocols_module_not_scanned(lint_project):
     files = {"core/worker.py": "def worker(sv) -> 'Machine':\n    yield 42\n"}
     findings = lint_project(files, rules=EXEC_RULES)
     assert [f.rule for f in findings] == []
-
-
-# -- EXEC103 -----------------------------------------------------------------
-
-
-def test_exec103_flags_each_missing_backend_method(lint_project):
-    files = base_files()
-    files["exec/local.py"] = """
-        class LocalServices:
-            def kv_get(self, key): ...
-            def kv_set(self, key, value): ...
-    """
-    findings = lint_project(files, rules=EXEC_RULES)
-    assert [f.rule for f in findings] == ["EXEC103", "EXEC103"]
-    missing = {f.snippet for f in findings}
-    assert missing == {
-        "LocalServices.mq_publish (missing)",
-        "LocalServices.sleep (missing)",
-    }
-    # per-method snippets keep the baseline fingerprints distinct
-    assert len({f.fingerprint for f in findings}) == 2
-
-
-def test_exec103_flags_missing_backend_class(lint_project):
-    files = base_files()
-    files["exec/local.py"] = "class RenamedServices:\n    pass\n"
-    findings = lint_project(files, rules=EXEC_RULES)
-    assert any(
-        f.rule == "EXEC103" and "does not exist" in f.message for f in findings
-    )
-
-
-def test_exec103_skips_backends_outside_the_scan(lint_project):
-    files = base_files()
-    del files["exec/local.py"]
-    assert lint_project(files, rules=EXEC_RULES) == []
 
 
 def test_exec_suppression_comment_silences_finding(lint_project):

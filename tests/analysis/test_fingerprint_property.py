@@ -14,7 +14,7 @@ from repro.analysis import Finding, load_baseline, write_baseline
 from repro.analysis.baseline import split_by_baseline
 
 RULE_IDS = st.sampled_from(
-    ["SIM001", "SIM002", "EXEC101", "EXEC103", "SEED101", "LOCK102"]
+    ["SIM001", "SIM002", "EXEC101", "EXEC102", "SEED101", "LOCK102"]
 )
 MODULES = st.sampled_from(
     ["sim/core.py", "core/worker.py", "exec/local.py", "platform/jobs.py"]

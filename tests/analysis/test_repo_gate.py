@@ -64,47 +64,51 @@ def _copy_subtree(src_repro, package, subdirs):
     return package
 
 
-def _services_method_names():
-    """The Services protocol surface, read from the real tree at collection."""
+def _yielded_services_verbs():
+    """The verbs machines yield, read from the real tree at collection
+    (``unbind`` is a plain synchronous call, never a token)."""
     protocols = Path(__file__).resolve().parents[2] / "src/repro/exec/protocols.py"
-    tree = ast.parse(protocols.read_text())
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(protocols.read_text())):
         if isinstance(node, ast.ClassDef) and node.name == "Services":
             return [
                 item.name
                 for item in node.body
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                if isinstance(item, ast.FunctionDef)
+                and not item.name.startswith("_")
+                and item.name != "unbind"
             ]
-    raise AssertionError("Services protocol class not found")
+    raise AssertionError("Services class not found")
 
 
-@pytest.mark.parametrize("method", _services_method_names())
+@pytest.mark.parametrize("method", _yielded_services_verbs())
 def test_deleting_any_services_method_fails_conformance(repo_paths, tmp_path, method):
-    """The EXEC103 acceptance criterion: remove any one Services method
-    from the local backend and the conformance lint must fail."""
+    """There is one ``Services`` class, so the contract can no longer
+    drift between backends — only between the class and the machines.
+    Remove any one verb from it and every machine that yields that verb
+    must fail EXEC102, which reads its verb table from the class."""
     root, src_repro = repo_paths
-    package = _copy_subtree(src_repro, tmp_path / "pkg", ["exec"])
-    local = package / "exec" / "local.py"
-    source = local.read_text()
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "LocalServices":
-            target = next(
-                item
-                for item in node.body
-                if isinstance(item, ast.FunctionDef) and item.name == method
-            )
-            break
-    else:
-        raise AssertionError("LocalServices not found")
+    package = _copy_subtree(src_repro, tmp_path / "pkg", ["exec", "core", "platform"])
+    protocols = package / "exec" / "protocols.py"
+    source = protocols.read_text()
+    services = next(
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == "Services"
+    )
+    target = next(
+        item
+        for item in services.body
+        if isinstance(item, ast.FunctionDef) and item.name == method
+    )
     lines = source.splitlines(keepends=True)
     del lines[target.lineno - 1 : target.end_lineno]
-    local.write_text("".join(lines))
+    protocols.write_text("".join(lines))
 
     config = load_config(pyproject=root / "pyproject.toml")
     findings = analyze_paths([package], config=config)
-    conformance = [f for f in findings if f.rule == "EXEC103"]
-    assert [f.snippet for f in conformance] == [f"LocalServices.{method} (missing)"]
+    assert findings, f"deleting Services.{method} went unnoticed"
+    assert {f.rule for f in findings} == {"EXEC102"}
+    assert all(f".{method}(" in f.snippet for f in findings)
 
 
 def test_injected_cross_module_violations_are_caught(repo_paths, tmp_path):

@@ -12,10 +12,9 @@ from repro.exec.local import (
     LocalKVStore,
     LocalMessageQueue,
     LocalObjectStore,
-    LocalServices,
     drive,
-    run_local_job,
 )
+from repro.exec.protocols import Services
 from repro.storage.errors import KeyNotFound, StorageError
 
 
@@ -173,7 +172,9 @@ def test_barrier_round_trip_across_threads():
     n = 4
     mq = LocalMessageQueue()
     ex = LocalExchange(mq)
-    sv = LocalServices(LocalObjectStore(), LocalKVStore(), mq, ex)
+    sv = Services(
+        LocalObjectStore(), LocalKVStore(), mq, ex, lambda cpu_s: None, time.sleep
+    )
     mq.declare("supervisor")
     for w in range(n):
         mq.declare(f"worker-{w}")
@@ -215,24 +216,3 @@ def test_clock_advances_with_real_time():
     t1 = clock.now()
     assert t1 - t0 >= 0.015
     assert clock.remaining_time(t0) <= 100.0 - (t1 - t0) + 1e-6
-
-
-# -- guard rails -----------------------------------------------------------
-
-def test_run_local_job_rejects_fault_profiles():
-    from repro import FAULT_PROFILES, JobConfig
-    from repro.ml.data import MovieLensSpec, movielens_like
-    from repro.ml.models import PMF
-    from repro.ml.optim import InverseSqrtLR, MomentumSGD
-
-    spec = MovieLensSpec(n_users=20, n_movies=20, n_ratings=400, batch_size=200)
-    config = JobConfig(
-        model=PMF(spec.n_users, spec.n_movies, rank=2),
-        make_optimizer=lambda: MomentumSGD(lr=InverseSqrtLR(4.0)),
-        dataset=movielens_like(spec, seed=0),
-        n_workers=2,
-        max_steps=2,
-        faults=FAULT_PROFILES["chaos"],
-    )
-    with pytest.raises(ValueError, match="cannot inject faults"):
-        run_local_job(config)

@@ -3,9 +3,10 @@
 End-to-end convergence parity with the sim backend lives in
 ``test_cross_backend.py``; here the pieces are exercised in isolation:
 the shared-memory arena layout, the control-server KV/exchange
-semantics, queue sealing, the relaunch/resume protocol, and — the
-property the parent-held KV server exists to provide — checkpoints
-surviving the death of a role process.
+semantics and — the property the parent-held KV server exists to
+provide — checkpoints surviving the death of a role process.  What the
+process backend shares with the thread backend (queue table, role loop,
+refusals, broadcast) is tested once for both in ``test_host_job.py``.
 """
 
 import multiprocessing as mp
@@ -16,18 +17,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.exec.local import LocalObjectStore
+from repro.exec.local import LocalMessageQueue
 from repro.exec.procs import (
+    _SERVER_POLL_S,
     ProcKVClient,
-    ProcMessageQueue,
-    ProcServices,
     ShmArena,
     _ControlServer,
-    _role_main,
     _SHM_DENSE,
     _SHM_UPDATE,
     _shm_route,
-    run_procs_job,
 )
 from repro.ml.parameters import ModelUpdate, ParameterSet
 from repro.ml.sparse import SparseDelta
@@ -194,37 +192,26 @@ def test_exchange_bindings_are_shared_across_clients(control):
     assert a.bindings() == ["worker-q-1"]
 
 
-def test_broadcast_fans_out_excluding_sender(control):
-    request_q, reply_qs = control
-    ctx = mp.get_context("fork")
-    mq = ProcMessageQueue(ctx)
-    for name in ("wq-0", "wq-1", "wq-2"):
-        mq.declare(name)
-    mq.seal()
-    kv = ProcKVClient(0, request_q, reply_qs[0])
-    services = ProcServices(LocalObjectStore(), kv, mq)
-    for name in ("wq-0", "wq-1", "wq-2"):
-        kv.bind(name)
-    services.broadcast({"kind": "update"}, exclude="wq-1")()
-    assert mq.consume_with_timeout("wq-0", 5.0) == {"kind": "update"}
-    assert mq.consume_with_timeout("wq-2", 5.0) == {"kind": "update"}
-    assert mq.consume_with_timeout("wq-1", 0.0) is None
+def test_control_server_stop_does_not_wait_out_the_poll():
+    """``stop()`` is a request on the queue the loop is blocked on, so it
+    is seen at once — not when the bounded ``get`` next expires."""
+    request_q, reply_qs = queue.Queue(), [queue.Queue()]
+    server = _ControlServer(request_q, reply_qs, [])
+    server.start()
+    # After answering a round trip the loop has just re-entered a
+    # full-length get(): the worst case for a stop that waits for expiry.
+    assert not ProcKVClient(0, request_q, reply_qs[0]).exists("x")
+    start = time.monotonic()
+    server.stop()
+    server.join(timeout=5.0)
+    elapsed = time.monotonic() - start
+    assert not server.is_alive()
+    assert elapsed < _SERVER_POLL_S / 2
 
 
 # ------------------------------------------------------- message queues
-def test_queue_declare_after_seal_is_rejected():
-    mq = ProcMessageQueue(mp.get_context("fork"))
-    mq.declare("early")
-    mq.seal()
-    mq.declare("early")  # re-declare of an existing queue stays legal
-    with pytest.raises(StorageError, match="after spawn"):
-        mq.declare("late")
-    with pytest.raises(StorageError, match="never declared"):
-        mq.consume_with_timeout("late", 0.0)
-
-
 def test_queue_timeout_consume_and_drain():
-    mq = ProcMessageQueue(mp.get_context("fork"))
+    mq = LocalMessageQueue(mp.get_context("fork").Queue)
     mq.declare("q")
     mq.seal()
     assert mq.consume_with_timeout("q", 0.0) is None
@@ -242,23 +229,7 @@ def test_queue_timeout_consume_and_drain():
     assert mq.drain("q") == []
 
 
-# ----------------------------------------------------- relaunch / resume
-def _relaunching_loop(ectx, payload):
-    if not payload.get("resume"):
-        return {"outcome": "relaunch"}
-    return {"outcome": "done", "resumed": True}
-    yield  # makes this a generator machine; never reached
-
-
-def test_role_main_reenters_on_relaunch_marker():
-    results_q = queue.Queue()
-    _role_main(_relaunching_loop, None, {}, "worker-0", results_q)
-    role, result, monitor = results_q.get(timeout=5.0)
-    assert role == "worker-0"
-    assert result == {"outcome": "done", "resumed": True}
-    assert monitor is None
-
-
+# ----------------------------------------------------- role death
 def _write_ckpt_and_die(kv):
     kv.set("ckpt/worker/0", {"step": 5, "note": "pre-crash"})
     os._exit(17)  # simulate a kill: no exception, no cleanup
@@ -349,14 +320,3 @@ def test_concurrent_kv_puts_from_processes():
                 proc.terminate()
         server.stop()
         server.join(timeout=5.0)
-
-
-# -------------------------------------------------------------- guards
-def test_procs_rejects_fault_profiles():
-    from types import SimpleNamespace
-
-    from repro.faults import FAULT_PROFILES
-
-    profile = next(p for p in FAULT_PROFILES.values() if not p.is_noop())
-    with pytest.raises(ValueError, match="cannot inject faults"):
-        run_procs_job(SimpleNamespace(faults=profile))
