@@ -17,8 +17,8 @@ its non-significant updates").  These variants isolate each ingredient:
     compression ratio regardless of training phase.
 
 All filters share the :class:`SignificanceFilter` interface (``step``,
-``residual_update``, ``accumulated``), so workers use them
-interchangeably via ``JobConfig.make_filter``.
+``accumulated``), so workers use them interchangeably via
+``JobConfig.make_filter``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from typing import Dict
 import numpy as np
 
 from ..ml.parameters import ModelUpdate, ParameterSet
-from ..ml.sparse import SparseDelta
-from .significance import SignificanceFilter, threshold_at
+from ..ml.sparse import SparseDelta, flat_nonzero
+from .significance import _X_EPS, SignificanceFilter, threshold_at
 
 __all__ = ["DropInsignificantFilter", "TopKFilter"]
-
-_X_EPS = 1e-8
 
 
 class DropInsignificantFilter(SignificanceFilter):
@@ -42,6 +40,7 @@ class DropInsignificantFilter(SignificanceFilter):
     def step(self, params: ParameterSet, update: ModelUpdate, t: int) -> ModelUpdate:
         """Broadcast significant entries of THIS update; drop the rest."""
         v_t = threshold_at(self.v, t)
+        self._require_known(update)
         deltas: Dict[str, SparseDelta] = {}
         for name in self._acc:
             if name in update:
@@ -69,11 +68,17 @@ class TopKFilter(SignificanceFilter):
         super().__init__(0.0, shapes)
         self.k_fraction = k_fraction
 
+    def step(self, params: ParameterSet, update: ModelUpdate, t: int) -> ModelUpdate:
+        """Always through the accumulators: top-k holds entries back even
+        at the dummy ``v = 0``, so the base pass-through never applies."""
+        self.add(update)
+        return self.extract_significant(params, t)
+
     def extract_significant(self, params: ParameterSet, t: int) -> ModelUpdate:
         deltas: Dict[str, SparseDelta] = {}
         for name, acc in self._acc.items():
             flat = np.ravel(acc)
-            candidate = np.flatnonzero(flat)
+            candidate = flat_nonzero(flat)
             if len(candidate) == 0:
                 deltas[name] = SparseDelta.empty(acc.shape)
                 continue

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..ml.parameters import ModelUpdate, ParameterSet
-from ..ml.sparse import SparseDelta
+from ..ml.sparse import SparseDelta, flat_nonzero
 
 __all__ = ["threshold_at", "SignificanceFilter"]
 
@@ -49,6 +49,9 @@ class SignificanceFilter:
         self._acc: Dict[str, np.ndarray] = {
             name: np.zeros(shape) for name, shape in shapes.items()
         }
+        #: True while every accumulator is known to be all-zero, i.e.
+        #: nothing is held back (always the case between steps at v = 0)
+        self._nothing_held = True
 
     @property
     def accumulated(self) -> Dict[str, np.ndarray]:
@@ -66,22 +69,18 @@ class SignificanceFilter:
         dup._acc = {name: acc.copy() for name, acc in self._acc.items()}
         return dup
 
-    def residual_update(self) -> ModelUpdate:
-        """The entire accumulated residual as one sparse update.
-
-        Used at eviction time: the leaving worker's unsent history is what
-        model averaging reintegrates into the survivors.
-        """
-        return ModelUpdate(
-            {n: SparseDelta.from_dense(a) for n, a in self._acc.items()}
-        )
+    def _require_known(self, update: ModelUpdate) -> None:
+        for name in update.names:
+            if name not in self._acc:
+                raise KeyError(f"update names unknown tensor {name!r}")
 
     def add(self, update: ModelUpdate) -> None:
         """Fold a local update ``u_t`` into the accumulators."""
+        self._require_known(update)
         for name, delta in update:
-            if name not in self._acc:
-                raise KeyError(f"update names unknown tensor {name!r}")
             delta.apply_to(self._acc[name])
+            if delta.nnz:
+                self._nothing_held = False
 
     def extract_significant(
         self, params: ParameterSet, t: int
@@ -91,29 +90,67 @@ class SignificanceFilter:
         ``params`` is the worker's *noisy* local model after applying its
         own update — the denominator of the relative-magnitude test.
         Returns the sparse update to broadcast (possibly empty).
+
+        The test runs element-wise over the whole tensor instead of on a
+        gathered candidate set: the same IEEE operations see the same
+        operands at every nonzero entry, and a zero entry gives
+        ``0 > v_t``, which is False, so the selection is bit-identical.
         """
         v_t = threshold_at(self.v, t)
         deltas: Dict[str, SparseDelta] = {}
         for name, acc in self._acc.items():
             flat_acc = np.ravel(acc)
-            candidate = np.flatnonzero(flat_acc)
-            if len(candidate) == 0:
-                deltas[name] = SparseDelta.empty(acc.shape)
-                continue
             if v_t <= 0:
-                significant = candidate
+                significant = flat_nonzero(flat_acc)
             else:
-                x = np.abs(np.ravel(params[name])[candidate]) + _X_EPS
-                significant = candidate[
-                    np.abs(flat_acc[candidate]) / x > v_t
-                ]
-            deltas[name] = SparseDelta(
-                significant, flat_acc[significant].copy(), acc.shape
+                ratio = np.abs(np.ravel(params[name]))
+                ratio += _X_EPS
+                np.divide(np.abs(flat_acc), ratio, out=ratio)
+                significant = np.flatnonzero(ratio > v_t)
+            deltas[name] = SparseDelta._trusted(
+                significant, flat_acc[significant], acc.shape
             )
             flat_acc[significant] = 0.0
+        if v_t <= 0:
+            self._nothing_held = True
+        return ModelUpdate(deltas)
+
+    def _pass_through(self, update: ModelUpdate) -> Optional[ModelUpdate]:
+        """What ``add`` + ``extract_significant`` would emit, or None.
+
+        Only valid with nothing held back and ``v_t = 0``: each
+        accumulator would go from zero to the update and back to zero,
+        so the candidates are the update's own nonzero entries (the ISP
+        = BSP corollary).  That needs matching shapes and sorted
+        duplicate-free indices; for any other update this returns None
+        and the caller takes the accumulator path.
+        """
+        self._require_known(update)
+        deltas: Dict[str, SparseDelta] = {}
+        for name, acc in self._acc.items():
+            if name not in update:
+                deltas[name] = SparseDelta.empty(acc.shape)
+                continue
+            delta = update[name]
+            if delta.shape != acc.shape or not delta.has_sorted_unique_indices:
+                return None
+            nonzero = delta.values != 0
+            if not nonzero.all():
+                delta = SparseDelta._trusted(
+                    delta.indices[nonzero], delta.values[nonzero], delta.shape
+                )
+            deltas[name] = delta
         return ModelUpdate(deltas)
 
     def step(self, params: ParameterSet, update: ModelUpdate, t: int) -> ModelUpdate:
-        """Convenience: ``add`` then ``extract_significant``."""
+        """``add`` then ``extract_significant``.
+
+        With nothing held back and ``v_t = 0`` the update passes straight
+        through in O(nnz), never touching the dense accumulators.
+        """
+        if self._nothing_held and threshold_at(self.v, t) <= 0:
+            passed = self._pass_through(update)
+            if passed is not None:
+                return passed
         self.add(update)
         return self.extract_significant(params, t)

@@ -18,6 +18,7 @@ from ..data.dataset import PMFBatch
 from ..parameters import ModelUpdate, ParameterSet
 from ..sparse import SparseDelta
 from .base import Model
+from .pmf import PMF
 
 __all__ = ["BiasedPMF"]
 
@@ -88,8 +89,8 @@ class BiasedPMF(Model):
 
         g_u_rows = scale * err[:, None] * Mm + self.l2 * Uu / batch.n
         g_m_rows = scale * err[:, None] * Uu + self.l2 * Mm / batch.n
-        grad_U = self._scatter_rows(u_rows, g_u_rows, U.shape)
-        grad_M = self._scatter_rows(m_rows, g_m_rows, M.shape)
+        grad_U = PMF._scatter_rows(u_rows, g_u_rows, U.shape)
+        grad_M = PMF._scatter_rows(m_rows, g_m_rows, M.shape)
         grad_bu = self._scatter_scalars(
             u_rows, scale * err + self.l2 * params["bu"][u_rows] / batch.n,
             self.n_users,
@@ -101,15 +102,6 @@ class BiasedPMF(Model):
         return loss, ModelUpdate(
             {"U": grad_U, "M": grad_M, "bu": grad_bu, "bm": grad_bm}
         )
-
-    @staticmethod
-    def _scatter_rows(rows, row_grads, shape) -> SparseDelta:
-        uniq, inverse = np.unique(rows, return_inverse=True)
-        rank = shape[1]
-        acc = np.zeros((len(uniq), rank))
-        np.add.at(acc, inverse, row_grads)
-        flat = (uniq.astype(np.int64)[:, None] * rank + np.arange(rank)).ravel()
-        return SparseDelta(flat, acc.ravel(), shape)
 
     @staticmethod
     def _scatter_scalars(rows, grads, size) -> SparseDelta:

@@ -53,10 +53,8 @@ class LinearRegression(Model):
         grad_w = batch.X.rmatvec_on_support(residual)
         if self.l2 > 0 and grad_w.nnz:
             w = params["w"]
-            grad_w = SparseDelta(
-                grad_w.indices,
-                grad_w.values + self.l2 * w[grad_w.indices],
-                grad_w.shape,
+            grad_w = grad_w._with_values(
+                grad_w.values + self.l2 * w[grad_w.indices]
             )
         grad_b = SparseDelta(np.array([0]), np.array([float(residual.sum())]), (1,))
         return loss, ModelUpdate({"w": grad_w, "b": grad_b})

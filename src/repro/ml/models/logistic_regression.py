@@ -63,10 +63,8 @@ class LogisticRegression(Model):
         if self.l2 > 0 and grad_w.nnz:
             # Lazy L2: regularize only the touched coordinates.
             w = params["w"]
-            grad_w = SparseDelta(
-                grad_w.indices,
-                grad_w.values + self.l2 * w[grad_w.indices],
-                grad_w.shape,
+            grad_w = grad_w._with_values(
+                grad_w.values + self.l2 * w[grad_w.indices]
             )
         grad_b = SparseDelta(
             np.array([0]), np.array([float(residual.sum())]), (1,)

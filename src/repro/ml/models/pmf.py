@@ -89,13 +89,22 @@ class PMF(Model):
     def _scatter_rows(
         rows: np.ndarray, row_grads: np.ndarray, shape: Tuple[int, int]
     ) -> SparseDelta:
-        """Sum duplicate-row gradients and emit a flat-indexed delta."""
+        """Sum duplicate-row gradients and emit a flat-indexed delta.
+
+        The scatter-add runs over flat indices (NumPy's 1-D ``add.at``
+        fast path); each cell still receives its contributions in batch
+        order, so the sums are bit-identical to the row-wise 2-D form.
+        """
         uniq, inverse = np.unique(rows, return_inverse=True)
-        rank = shape[1]
-        acc = np.zeros((len(uniq), rank))
-        np.add.at(acc, inverse, row_grads)
-        flat_idx = (uniq.astype(np.int64)[:, None] * rank + np.arange(rank)).ravel()
-        return SparseDelta(flat_idx, acc.ravel(), shape)
+        n_rows, rank = shape
+        # uniq is sorted, so its ends bound every row index
+        if len(uniq) and not 0 <= uniq[0] <= uniq[-1] < n_rows:
+            raise ValueError("flat index out of range for shape")
+        cols = np.arange(rank)
+        acc = np.zeros(len(uniq) * rank)
+        np.add.at(acc, (inverse[:, None] * rank + cols).ravel(), row_grads.ravel())
+        flat_idx = (uniq.astype(np.int64)[:, None] * rank + cols).ravel()
+        return SparseDelta._trusted(flat_idx, acc, shape)
 
     # -- cost model -------------------------------------------------------
     def sparse_step_flops(self, batch: PMFBatch) -> float:

@@ -46,7 +46,7 @@ class Adam(Optimizer):
         m_hat = m[idx] / (1.0 - self.beta1**t)
         v_hat = v[idx] / (1.0 - self.beta2**t)
         step = m_hat / (np.sqrt(v_hat) + self.eps)
-        return SparseDelta(idx, -lr * step, grad.shape)
+        return grad._with_values(-lr * step)
 
 
 class AdaGrad(Optimizer):
@@ -63,4 +63,4 @@ class AdaGrad(Optimizer):
         idx, g = grad.indices, grad.values
         acc[idx] += g * g
         step = g / (np.sqrt(acc[idx]) + self.eps)
-        return SparseDelta(idx, -lr * step, grad.shape)
+        return grad._with_values(-lr * step)

@@ -35,4 +35,4 @@ class RMSProp(Optimizer):
             buf = np.ravel(self._buffer("momentum", name, tensor.shape))
             buf[idx] = self.momentum * buf[idx] + step
             step = buf[idx]
-        return SparseDelta(idx, -lr * step, grad.shape)
+        return grad._with_values(-lr * step)

@@ -50,4 +50,4 @@ class MomentumSGD(Optimizer):
             step = grad.values + self.momentum * flat_v[idx]
         else:
             step = flat_v[idx]
-        return SparseDelta(idx, -lr * step, grad.shape)
+        return grad._with_values(-lr * step)

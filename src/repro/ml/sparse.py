@@ -37,11 +37,23 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CSRMatrix", "SparseDelta"]
+__all__ = ["CSRMatrix", "SparseDelta", "flat_nonzero"]
 
 #: wire bytes per stored entry: 4-byte index + 8-byte value
 _INDEX_BYTES = 4
 _VALUE_BYTES = 8
+
+
+def flat_nonzero(flat: np.ndarray) -> np.ndarray:
+    """Ascending indices of the nonzero entries of a 1-D float array.
+
+    Written as ``np.flatnonzero(flat != 0)`` because NumPy's nonzero scan
+    of a float64 array is several times slower than the comparison plus
+    the scan of the boolean mask (573 vs 84 us for 64k elements on NumPy
+    2.4).  Both select the same entries: NaN is truthy and ``NaN != 0``
+    is True; ``-0.0`` is falsy and ``-0.0 != 0`` is False.
+    """
+    return np.flatnonzero(flat != 0)
 
 
 class CSRMatrix:
@@ -353,7 +365,7 @@ class SparseDelta:
         if mask is not None:
             sel = np.flatnonzero(np.ravel(mask))
         else:
-            sel = np.flatnonzero(flat)
+            sel = flat_nonzero(flat)
         return cls._trusted(sel, np.ascontiguousarray(flat[sel]), dense.shape)
 
     # -- properties -------------------------------------------------------
@@ -374,10 +386,18 @@ class SparseDelta:
         return self._sorted_unique
 
     # -- arithmetic -------------------------------------------------------
-    def scale(self, factor: float) -> "SparseDelta":
+    def _with_values(self, values: np.ndarray) -> "SparseDelta":
+        """Same support, new values (float64, one per index).
+
+        The indices are this delta's own array, so its range check and
+        its sortedness flag carry over instead of being redone.
+        """
         return SparseDelta._trusted(
-            self.indices, self.values * factor, self.shape, self._sorted_unique
+            self.indices, values, self.shape, self._sorted_unique
         )
+
+    def scale(self, factor: float) -> "SparseDelta":
+        return self._with_values(self.values * factor)
 
     def merge(self, other: "SparseDelta") -> "SparseDelta":
         """Sum of two deltas over the same tensor (indices deduplicated).

@@ -11,14 +11,16 @@ in isolation so a violation is pinpointed, not just detected.
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.runtime import WorkerCheckpoint
 from repro.core.significance import SignificanceFilter
 from repro.ml import ModelUpdate, ParameterSet
-from repro.ml.optim import MomentumSGD
-from repro.ml.sparse import CSRMatrix, SparseDelta
+from repro.ml.models import PMF
+from repro.ml.optim import SGD, AdaGrad, Adam, MomentumSGD, RMSProp
+from repro.ml.sparse import CSRMatrix, SparseDelta, flat_nonzero
 
 N_COLS = 16
 SIZE = 20
@@ -250,3 +252,200 @@ def test_snapshot_is_isolated_from_later_mutation(ckpt, noise):
     ckpt.last_report["loss"] = "clobbered"
     assert _checkpoint_buffers(snap) == before
     assert snap.last_report["loss"] != "clobbered"
+
+
+# -- ISP filter: in-place test / pass-through == naive gather formulation --
+FILTER_SHAPES = {"u": (4, 3), "w": (10,)}
+
+#: values that make residuals cancel to exactly zero, stay tiny next to a
+#: large parameter (held back), or hit the zero / -0.0 / non-finite cases
+filter_values = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-3, -1e-3, 1e-9, float("inf"), float("nan")]
+    ),
+    small_floats,
+)
+
+
+class NaiveGatherFilter:
+    """The gather formulation the in-place filter replaced (reference).
+
+    ``np.flatnonzero`` of the float accumulator picks the candidates, the
+    relative test runs on values gathered at them — kept here, unchanged,
+    so the filter's two fast regimes are held to it bit for bit.
+    """
+
+    def __init__(self, v, shapes):
+        self.v = v
+        self.acc = {name: np.zeros(shape) for name, shape in shapes.items()}
+
+    def clone(self):
+        dup = NaiveGatherFilter(self.v, {})
+        dup.acc = {name: acc.copy() for name, acc in self.acc.items()}
+        return dup
+
+    def add(self, update):
+        for name, delta in update:
+            if delta.nnz:
+                np.add.at(np.ravel(self.acc[name]), delta.indices, delta.values)
+
+    def step(self, params, update, t):
+        self.add(update)
+        v_t = self.v / np.sqrt(t)
+        out = {}
+        for name, acc in self.acc.items():
+            flat_acc = np.ravel(acc)
+            candidate = np.flatnonzero(flat_acc)
+            if v_t <= 0:
+                significant = candidate
+            else:
+                x = np.abs(np.ravel(params[name])[candidate]) + 1e-8
+                significant = candidate[np.abs(flat_acc[candidate]) / x > v_t]
+            out[name] = (significant, flat_acc[significant].copy())
+            flat_acc[significant] = 0.0
+        return out
+
+
+@st.composite
+def filter_updates(draw):
+    """An update over a subset of FILTER_SHAPES (possibly none, possibly
+    empty deltas), sorted-unique like the repo's kernels emit or built
+    "externally" with unsorted / repeated indices."""
+    deltas = {}
+    for name in draw(st.lists(st.sampled_from(sorted(FILTER_SHAPES)), unique=True)):
+        shape = FILTER_SHAPES[name]
+        external = draw(st.booleans())
+        idx = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=int(np.prod(shape)) - 1),
+                max_size=8,
+                unique=not external,
+            )
+        )
+        if not external:
+            idx = sorted(idx)
+        vals = draw(st.lists(filter_values, min_size=len(idx), max_size=len(idx)))
+        deltas[name] = SparseDelta(
+            np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64), shape
+        )
+    return ModelUpdate(deltas)
+
+
+def _assert_filter_ops_equal(filt, naive, params, ops, first_t):
+    """Drive both filters through ``ops``; outputs and residuals must match."""
+    for t, (fold_only, update) in enumerate(ops, start=first_t):
+        params.apply(update)
+        if fold_only:  # add() without extraction: the residual stays held
+            filt.add(update)
+            naive.add(update)
+        else:
+            got = filt.step(params, update, t)
+            want = naive.step(params, update, t)
+            assert got.names == sorted(want)
+            for name, (indices, values) in want.items():
+                assert got[name].shape == FILTER_SHAPES[name]
+                assert got[name].indices.tobytes() == indices.tobytes()
+                assert got[name].values.tobytes() == values.tobytes()
+                assert got[name].has_sorted_unique_indices
+        for name, acc in naive.acc.items():
+            assert filt._acc[name].tobytes() == acc.tobytes()
+
+
+@given(
+    v=st.sampled_from([0.0, 0.7, 5.0]),
+    clone_v=st.sampled_from([0.0, 0.7]),
+    scale=st.sampled_from([0.0, 1.0, 100.0]),
+    ops=st.lists(st.tuples(st.booleans(), filter_updates()), min_size=1, max_size=6),
+    clone_at=st.integers(min_value=0, max_value=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_filter_equals_naive_gather_formulation(v, clone_v, scale, ops, clone_at):
+    params = ParameterSet(
+        {name: np.full(shape, scale) for name, shape in FILTER_SHAPES.items()}
+    )
+    filt, naive = SignificanceFilter(v, FILTER_SHAPES), NaiveGatherFilter(v, FILTER_SHAPES)
+    clone_at = min(clone_at, len(ops))
+    with np.errstate(all="ignore"):
+        _assert_filter_ops_equal(filt, naive, params, ops[:clone_at], 1)
+        # clone mid-sequence; both copies continue, the clone on a different
+        # future and (``v`` is a plain attribute) possibly the other regime
+        dup, naive_dup, params_dup = filt.clone(), naive.clone(), params.copy()
+        dup.v = naive_dup.v = clone_v
+        _assert_filter_ops_equal(filt, naive, params, ops[clone_at:], clone_at + 1)
+        _assert_filter_ops_equal(
+            dup, naive_dup, params_dup, ops[clone_at:][::-1], clone_at + 1
+        )
+
+
+@given(vals=st.lists(filter_values, max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_flat_nonzero_selects_like_flatnonzero(vals):
+    flat = np.asarray(vals, dtype=np.float64)
+    assert flat_nonzero(flat).tobytes() == np.flatnonzero(flat).tobytes()
+    dense = flat.reshape(1, -1)
+    assert SparseDelta.from_dense(dense).indices.tobytes() == np.flatnonzero(flat).tobytes()
+
+
+# -- PMF row scatter: flat add.at == 2-D add.at ----------------------------
+@given(
+    rank=st.integers(min_value=1, max_value=4),
+    rows=st.lists(st.integers(min_value=0, max_value=7), max_size=12),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_scatter_rows_flat_equals_2d_add_at(rank, rows, data):
+    rows = np.asarray(rows, dtype=np.int64)
+    row_grads = np.asarray(
+        data.draw(
+            st.lists(
+                st.lists(small_floats, min_size=rank, max_size=rank),
+                min_size=len(rows),
+                max_size=len(rows),
+            )
+        ),
+        dtype=np.float64,
+    ).reshape(len(rows), rank)
+    delta = PMF._scatter_rows(rows, row_grads, (8, rank))
+
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    acc = np.zeros((len(uniq), rank))
+    np.add.at(acc, inverse, row_grads)
+    flat_idx = (uniq[:, None] * rank + np.arange(rank)).ravel()
+    assert delta.shape == (8, rank)
+    assert delta.indices.tobytes() == flat_idx.tobytes()
+    assert delta.values.tobytes() == acc.ravel().tobytes()
+    assert delta.has_sorted_unique_indices == bool(np.all(np.diff(flat_idx) > 0))
+
+
+def test_scatter_rows_rejects_out_of_range_rows():
+    grads = np.ones((2, 3))
+    for rows in ([0, 8], [-1, 2]):
+        with pytest.raises(ValueError, match="out of range"):
+            PMF._scatter_rows(np.asarray(rows), grads, (8, 3))
+
+
+# -- optimizers: the update keeps the gradient's (validated) support -------
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SGD(0.1),
+        lambda: MomentumSGD(0.1, momentum=0.9, nesterov=True),
+        lambda: Adam(0.1),
+        lambda: AdaGrad(0.1),
+        lambda: RMSProp(0.1, momentum=0.5),
+    ],
+    ids=["sgd", "momentum", "adam", "adagrad", "rmsprop"],
+)
+@given(grad=sparse_deltas(unique=False))
+@settings(max_examples=20, deadline=None)
+def test_optimizer_update_carries_gradient_support(make, grad):
+    sorted_unique = bool(np.all(np.diff(grad.indices) > 0))
+    for known in (False, True):  # flag still lazy / already computed
+        if known:
+            assert grad.has_sorted_unique_indices == sorted_unique
+        params = ParameterSet({"w": np.ones(SIZE)})
+        update = make().step(params, ModelUpdate({"w": grad}), 1)["w"]
+        assert update.indices is grad.indices
+        assert update.shape == grad.shape
+        assert update.values.dtype == np.float64 and update.values.shape == grad.values.shape
+        assert update.has_sorted_unique_indices == sorted_unique

@@ -48,6 +48,13 @@ def test_drop_filter_never_resends():
     assert total_sent < 9
 
 
+def test_drop_filter_rejects_unknown_tensor_like_the_base_filter():
+    filt = DropInsignificantFilter(0.5, {"w": (6,)})
+    stray = ModelUpdate({"nope": SparseDelta(np.array([0]), np.array([1.0]), (6,))})
+    with pytest.raises(KeyError, match="unknown tensor 'nope'"):
+        filt.step(params_with([1.0] * 6), stray, t=1)
+
+
 # ------------------------------------------------------------------ top-k
 def test_topk_selects_largest_absolute_entries():
     filt = TopKFilter(0.5, {"w": (6,)})

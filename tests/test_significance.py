@@ -98,14 +98,6 @@ def test_decaying_threshold_makes_filter_stricter_early():
     assert late["w"].nnz == 1
 
 
-def test_residual_update_reports_whole_accumulator():
-    filt = SignificanceFilter(0.9, {"w": (3,)})
-    p = params_with([10.0, 10.0, 10.0])
-    filt.step(p, update_with([0, 1], [0.01, 0.02], size=3), t=1)
-    residual = filt.residual_update()
-    np.testing.assert_allclose(residual["w"].to_dense(), [0.01, 0.02, 0.0])
-
-
 def test_multiple_tensors_filtered_independently():
     filt = SignificanceFilter(0.5, {"a": (1,), "b": (1,)})
     p = ParameterSet({"a": np.array([1.0]), "b": np.array([1.0])})
