@@ -31,21 +31,17 @@ defaults reproduce the repo layout)::
     modules = ["exec/local.py"]   # modules under lock-hygiene rules
     sanctioned-blocking = []      # helper qualnames allowed to block forever
 
-Python 3.11+ parses the file with :mod:`tomllib`; on 3.9/3.10 (no
-tomllib, and this repo adds no third-party dependencies) a minimal
-line-oriented fallback parser handles the subset of TOML these tables
-use: section headers, string values, booleans, and (possibly multi-line)
-arrays of strings.
+The file is parsed with the standard library's :mod:`tomllib`.
 """
 
 from __future__ import annotations
 
-import re
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-__all__ = ["SimLintConfig", "load_config", "parse_toml_subset"]
+__all__ = ["SimLintConfig", "load_config"]
 
 #: directories (relative to the package root) simulated-clock rules police
 DEFAULT_SIMULATED_LAYERS = (
@@ -185,7 +181,7 @@ def load_config(pyproject: Optional[Path] = None, start: Optional[Path] = None) 
         pyproject = _discover_pyproject(start or Path.cwd())
     if pyproject is None or not pyproject.is_file():
         return SimLintConfig()
-    data = _read_toml(pyproject)
+    data = tomllib.loads(pyproject.read_text(encoding="utf-8"))
     table = data.get("tool", {}).get("sim-lint", {})
     if not isinstance(table, dict):
         return SimLintConfig()
@@ -252,144 +248,3 @@ def _discover_pyproject(start: Path) -> Optional[Path]:
         if candidate.is_file():
             return candidate
     return None
-
-
-def _read_toml(path: Path) -> dict:
-    text = path.read_text(encoding="utf-8")
-    try:
-        import tomllib  # Python >= 3.11
-    except ImportError:
-        return parse_toml_subset(text)
-    return tomllib.loads(text)
-
-
-# -- fallback parser (Python 3.9/3.10, stdlib only) ------------------------
-
-_SECTION_RE = re.compile(r"^\[\s*([^\]]+?)\s*\]\s*$")
-_KEY_RE = re.compile(r"""^\s*(?:"([^"]+)"|'([^']+)'|([A-Za-z0-9_.-]+))\s*=\s*(.*)$""")
-_STRING_RE = re.compile(r"""^(?:"([^"]*)"|'([^']*)')$""")
-
-
-def parse_toml_subset(text: str) -> dict:
-    """Parse the TOML subset ``[tool.sim-lint]`` uses into nested dicts.
-
-    Supports: ``[dotted.section]`` headers, ``key = "string"``,
-    ``key = true/false``, integers/floats, and arrays of strings that may
-    span multiple lines.  Unparseable values are skipped (this fallback
-    only needs to be correct for the sim-lint tables; it must merely not
-    crash on the rest of the file).
-    """
-    root: dict = {}
-    section = root
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = _strip_comment(lines[i])
-        i += 1
-        if not line.strip():
-            continue
-        header = _SECTION_RE.match(line.strip())
-        if header:
-            section = root
-            for part in _split_section(header.group(1)):
-                section = section.setdefault(part, {})
-                if not isinstance(section, dict):  # scalar collision: bail out
-                    section = {}
-            continue
-        key_match = _KEY_RE.match(line)
-        if not key_match:
-            continue
-        key = next(g for g in key_match.groups()[:3] if g is not None)
-        value_src = key_match.group(4).strip()
-        if value_src.startswith("[") and "]" not in value_src:
-            # multi-line array: accumulate until the closing bracket
-            parts = [value_src]
-            while i < len(lines):
-                fragment = _strip_comment(lines[i])
-                i += 1
-                parts.append(fragment.strip())
-                if "]" in fragment:
-                    break
-            value_src = " ".join(parts)
-        value = _parse_value(value_src)
-        if value is not None:
-            section[key] = value
-    return root
-
-
-def _split_section(name: str) -> List[str]:
-    parts: List[str] = []
-    for raw in re.findall(r'"[^"]*"|\'[^\']*\'|[^.]+', name):
-        parts.append(raw.strip().strip("\"'"))
-    return [p for p in parts if p]
-
-
-def _strip_comment(line: str) -> str:
-    out: List[str] = []
-    quote = ""
-    for ch in line:
-        if quote:
-            out.append(ch)
-            if ch == quote:
-                quote = ""
-        elif ch in "\"'":
-            quote = ch
-            out.append(ch)
-        elif ch == "#":
-            break
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _parse_value(src: str):
-    src = src.strip().rstrip(",").strip()
-    if not src:
-        return None
-    if src in ("true", "false"):
-        return src == "true"
-    string = _STRING_RE.match(src)
-    if string:
-        return string.group(1) if string.group(1) is not None else string.group(2)
-    if src.startswith("[") and src.endswith("]"):
-        # Arrays of scalars (strings, booleans, numbers — possibly
-        # mixed): split on top-level commas, parse each item with the
-        # scalar rules above, and skip anything unparseable.  Scenario
-        # specs (repro.scenarios) rely on numeric items for ranges like
-        # ``crash_window_s = [0.5, 15.0]``.
-        items = []
-        for part in _split_array_items(src[1:-1]):
-            value = _parse_value(part)
-            if value is not None:
-                items.append(value)
-        return items
-    try:
-        return int(src)
-    except ValueError:
-        pass
-    try:
-        return float(src)
-    except ValueError:
-        return None
-
-
-def _split_array_items(inner: str) -> List[str]:
-    """Split an array body on commas outside quotes."""
-    items: List[str] = []
-    current: List[str] = []
-    quote = ""
-    for ch in inner:
-        if quote:
-            current.append(ch)
-            if ch == quote:
-                quote = ""
-        elif ch in "\"'":
-            quote = ch
-            current.append(ch)
-        elif ch == ",":
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    items.append("".join(current))
-    return [item for item in (i.strip() for i in items) if item]

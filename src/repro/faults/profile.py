@@ -25,7 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["FaultProfile", "FAULT_PROFILES"]
+__all__ = ["FaultProfile", "FAULT_PROFILES", "FAULT_RATE_FIELDS"]
+
+#: the per-opportunity probability fields of :class:`FaultProfile`; a
+#: profile with all of them zero can never inject a fault
+FAULT_RATE_FIELDS = (
+    "crash_rate",
+    "coldstart_spike_rate",
+    "straggler_rate",
+    "message_loss_rate",
+    "message_duplication_rate",
+    "kv_error_rate",
+    "cos_error_rate",
+)
 
 
 def _check_rate(name: str, value: float) -> None:
@@ -81,13 +93,8 @@ class FaultProfile:
     max_storage_retries: int = 4
 
     def __post_init__(self) -> None:
-        _check_rate("crash_rate", self.crash_rate)
-        _check_rate("coldstart_spike_rate", self.coldstart_spike_rate)
-        _check_rate("straggler_rate", self.straggler_rate)
-        _check_rate("message_loss_rate", self.message_loss_rate)
-        _check_rate("message_duplication_rate", self.message_duplication_rate)
-        _check_rate("kv_error_rate", self.kv_error_rate)
-        _check_rate("cos_error_rate", self.cos_error_rate)
+        for name in FAULT_RATE_FIELDS:
+            _check_rate(name, getattr(self, name))
         if self.message_loss_rate + self.message_duplication_rate > 1.0:
             raise ValueError("message loss + duplication rates must sum <= 1")
         _check_range("crash_window_s", self.crash_window_s, 0.0)
@@ -98,15 +105,7 @@ class FaultProfile:
 
     def is_noop(self) -> bool:
         """True when the profile can never inject a fault."""
-        return (
-            self.crash_rate == 0.0
-            and self.coldstart_spike_rate == 0.0
-            and self.straggler_rate == 0.0
-            and self.message_loss_rate == 0.0
-            and self.message_duplication_rate == 0.0
-            and self.kv_error_rate == 0.0
-            and self.cos_error_rate == 0.0
-        )
+        return all(getattr(self, name) == 0.0 for name in FAULT_RATE_FIELDS)
 
 
 #: Named presets selectable from the CLI (``--faults <name>``).

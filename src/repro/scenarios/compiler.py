@@ -32,7 +32,7 @@ from .kpi import (
     reconcile_platform,
     reconcile_single_job,
 )
-from .spec import ScenarioSpec
+from .spec import JobMixSpec, PoolSpec, ScenarioSpec, TrafficSpec, lower_fields
 
 __all__ = ["run_scenario_spec", "KPI_SCHEMA"]
 
@@ -264,57 +264,40 @@ def _single_reconciliation_summary(runs: List[Dict[str, Any]]) -> Dict[str, Any]
 # -- platform lowering ------------------------------------------------------
 
 
-def _run_platform(spec: ScenarioSpec, payload: Dict[str, Any],
-                  progress: Progress) -> None:
+def _platform_config(spec: ScenarioSpec):
+    """The platform's ``ScenarioConfig`` for ``spec``.
+
+    Spec keys reach the platform's config dataclasses by field name;
+    only the keys the platform spells differently are written out.
+    """
     from ..platform.arrivals import JobSizeProfile, TrafficProfile
     from ..platform.billing import PoolEconomics
-    from ..platform.scenario import (
-        ScenarioConfig,
-        run_isolated_baseline,
-        run_scenario,
-    )
-    from .spec import JobMixSpec, PoolSpec, TrafficSpec
+    from ..platform.scenario import ScenarioConfig
 
     traffic = spec.traffic or TrafficSpec()
-    jobs = spec.jobs or JobMixSpec()
     pool = spec.pool or PoolSpec()
-    config = ScenarioConfig(
+    return lower_fields(
+        ScenarioConfig,
+        traffic,
+        pool,
         seed=spec.seed,
         n_tenants=traffic.tenants,
-        horizon_s=traffic.horizon_s,
         pool_concurrency=pool.concurrency,
-        memory_grades_mb=tuple(pool.memory_grades_mb),
-        keep_alive_s=pool.keep_alive_s,
-        scale_to_zero_after_s=pool.scale_to_zero_after_s,
-        max_skips=pool.max_skips,
-        traffic=TrafficProfile(
-            mean_rate_per_h=traffic.mean_rate_per_h,
-            diurnal_amplitude=traffic.diurnal_amplitude,
-            peak_time_s=traffic.peak_time_s,
-            period_s=traffic.period_s,
-            bursts_per_h=traffic.bursts_per_h,
-            burst_len_s=traffic.burst_len_s,
-            burst_multiplier=traffic.burst_multiplier,
-        ),
-        sizes=JobSizeProfile(
-            min_workers=jobs.min_workers,
-            max_workers=jobs.max_workers,
-            min_steps=jobs.min_steps,
-            max_steps=jobs.max_steps,
-            step_cpu_median_s=jobs.step_cpu_median_s,
-            step_cpu_sigma=jobs.step_cpu_sigma,
-            memory_grades_mb=tuple(pool.memory_grades_mb),
-            sync_every=jobs.sync_every,
-        ),
-        economics=PoolEconomics(
-            rate_per_gb_s=spec.pricing.rate_per_gb_s,
-            idle_rate_fraction=spec.pricing.idle_rate_fraction,
-        ),
+        traffic=lower_fields(TrafficProfile, traffic),
+        sizes=lower_fields(JobSizeProfile, spec.jobs or JobMixSpec(), pool),
+        economics=lower_fields(PoolEconomics, spec.pricing),
     )
+
+
+def _run_platform(spec: ScenarioSpec, payload: Dict[str, Any],
+                  progress: Progress) -> None:
+    from ..platform.scenario import run_isolated_baseline, run_scenario
+
+    config = _platform_config(spec)
     if progress is not None:
         progress(
-            f"[{spec.name}] platform: {traffic.tenants} tenants over "
-            f"{traffic.horizon_s:.0f}s, pool concurrency {pool.concurrency}"
+            f"[{spec.name}] platform: {config.n_tenants} tenants over "
+            f"{config.horizon_s:.0f}s, pool concurrency {config.pool_concurrency}"
         )
     result = run_scenario(config)
     reconciliation = reconcile_platform(result.report)

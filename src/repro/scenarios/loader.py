@@ -5,12 +5,8 @@ Reading files off disk is host I/O and lives in
 :mod:`repro.scenarios.cli` (the same split as ``repro.trace`` /
 ``repro.trace_cli``).
 
-TOML parsing follows the repo's no-new-dependencies rule: Python 3.11+
-uses :mod:`tomllib`; 3.9/3.10 fall back to the same line-oriented subset
-parser sim-lint's config uses (:func:`repro.analysis.config.parse_toml_subset`),
-which this PR extends to numeric array items so scenario ranges like
-``crash_window_s = [0.5, 15.0]`` parse identically on every supported
-interpreter.
+TOML is parsed by the standard library's :mod:`tomllib`, JSON by
+:mod:`json`.
 
 Every parse or validation error surfaces as a :class:`SpecError` whose
 message is prefixed with the origin, e.g.::
@@ -21,9 +17,9 @@ message is prefixed with the origin, e.g.::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+import tomllib
+from typing import Any, List
 
-from ..analysis.config import parse_toml_subset
 from .spec import ScenarioSpec, SpecError, spec_from_dict
 
 __all__ = [
@@ -39,14 +35,6 @@ def detect_format(origin: str) -> str:
     return "json" if origin.lower().endswith(".json") else "toml"
 
 
-def _parse_toml(text: str) -> Dict[str, Any]:
-    try:
-        import tomllib  # Python >= 3.11
-    except ImportError:
-        return parse_toml_subset(text)
-    return tomllib.loads(text)
-
-
 def load_spec_text(text: str, origin: str = "<spec>", fmt: str = None) -> ScenarioSpec:
     """Parse spec text into a validated :class:`ScenarioSpec`.
 
@@ -58,12 +46,7 @@ def load_spec_text(text: str, origin: str = "<spec>", fmt: str = None) -> Scenar
     if fmt not in ("toml", "json"):
         raise SpecError(origin, f"unknown spec format {fmt!r} (toml or json)")
     try:
-        if fmt == "json":
-            data = json.loads(text)
-        else:
-            data = _parse_toml(text)
-    except SpecError:
-        raise
+        data = json.loads(text) if fmt == "json" else tomllib.loads(text)
     except Exception as exc:  # tomllib.TOMLDecodeError / json.JSONDecodeError
         raise SpecError(origin, f"unparseable {fmt}: {exc}") from exc
     try:
@@ -108,10 +91,11 @@ def _toml_value(value: Any, path: str) -> str:
         return str(value)
     if isinstance(value, float):
         # repr round-trips and is valid TOML for finite floats; the spec
-        # layer never produces inf/nan (all fields are range-checked).
+        # layer never produces inf/nan (every number is finiteness-checked).
         return repr(value)
     if isinstance(value, str):
-        if '"' in value or "\n" in value or "\\" in value:
+        # a one-line basic string: no quote, backslash or control character
+        if any(ch in '"\\\x7f' or (ch < " " and ch != "\t") for ch in value):
             raise SpecError(path, f"string not representable in TOML: {value!r}")
         return f'"{value}"'
     if isinstance(value, (list, tuple)):

@@ -18,17 +18,37 @@ Two scenario kinds exist:
   shared pool, per-tenant invoices) lowered onto
   :func:`repro.platform.scenario.run_scenario`.
 
+Every key is declared once — a dataclass field whose annotation is the
+type and whose :func:`key` metadata holds default, bounds, choices and
+dump rule — and that table drives the one reader (:func:`_read_keys`)
+and the one dumper (:func:`_dump_keys`) all sections share.  Only rules
+that relate several keys are written by hand: per-section
+``_cross_check`` hooks and :func:`_cross_validate`.
+
 Specs are pure data with a lossless ``to_dict``/``from_dict`` round
 trip; nothing here touches the filesystem or the clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from dataclasses import MISSING, Field, dataclass, field, fields
+from functools import lru_cache
+from typing import (
+    Any,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from ..experiments.settings import WORKLOADS
 from ..faults import FAULT_PROFILES, FaultProfile
+from ..faults.profile import FAULT_RATE_FIELDS
 
 __all__ = [
     "SpecError",
@@ -71,268 +91,246 @@ class SpecError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-# -- typed section reader ---------------------------------------------------
+# -- the field table: declare each key once ---------------------------------
+
+#: dump rule: emit the key only when it differs from its default.  The
+#: other rules are ``None`` (always emit) and a predicate over the section
+#: (emit when true).  Whatever the rule, a key holding ``None`` is never
+#: emitted — TOML has no null and the reader fills it back in.
+IF_SET = "if-set"
 
 
-class _Reader:
-    """Pulls typed keys out of one section dict, tracking leftovers."""
+def key(default=MISSING, *, ge=None, le=None, choices=None, dump=None):
+    """Declare one spec key on a section dataclass.
 
-    def __init__(self, data: Dict[str, Any], path: str):
-        if not isinstance(data, dict):
-            raise SpecError(path, f"must be a table/object, got {type(data).__name__}")
-        self._data = dict(data)
-        self._path = path
-        self._known: List[str] = []
+    The annotation gives the type (``Optional[...]`` = nullable,
+    ``Tuple[float, float]`` = a ``[lo, hi]`` range, ``Tuple[x, ...]`` = a
+    non-empty list); no ``default`` makes the key required; ``ge``/``le``
+    are inclusive bounds (on a range's ``lo``, on every list item);
+    ``choices`` the allowed strings; ``dump`` the dump rule.
+    """
+    return field(
+        default=default,
+        metadata={"ge": ge, "le": le, "choices": choices, "dump": dump},
+    )
 
-    def _key_path(self, key: str) -> str:
-        return f"{self._path}.{key}" if self._path else key
 
-    def _take(self, key: str, default):
-        self._known.append(key)
-        if key not in self._data:
-            if default is _REQUIRED:
-                raise SpecError(self._key_path(key), "is required")
-            return default
-        return self._data.pop(key)
+@lru_cache(maxsize=None)
+def _keys(cls) -> Tuple[Tuple[Field, Any], ...]:
+    """``cls``'s key table: ``(field, resolved annotation)`` per :func:`key`."""
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls) if f.metadata)
 
-    def take_str(self, key: str, default=None, choices: Optional[Tuple[str, ...]] = None):
-        value = self._take(key, default)
-        if value is None:
-            return None
-        if not isinstance(value, str):
-            raise SpecError(
-                self._key_path(key),
-                f"must be a string, got {value!r}",
-            )
-        if choices is not None and value not in choices:
-            raise SpecError(
-                self._key_path(key),
-                f"must be one of {sorted(choices)}, got {value!r}",
-            )
-        return value
 
-    def take_bool(self, key: str, default=False):
-        value = self._take(key, default)
-        if not isinstance(value, bool):
-            raise SpecError(
-                self._key_path(key), f"must be true or false, got {value!r}"
-            )
-        return value
+def _unwrap(hint):
+    """``Optional[X]`` -> ``X``; anything else unchanged."""
+    return get_args(hint)[0] if get_origin(hint) is Union else hint
 
-    def take_int(self, key: str, default=None, minimum: Optional[int] = None):
-        value = self._take(key, default)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SpecError(
-                self._key_path(key), f"must be an integer, got {value!r}"
-            )
-        if minimum is not None and value < minimum:
-            raise SpecError(
-                self._key_path(key), f"must be >= {minimum}, got {value}"
-            )
-        return value
 
-    def take_float(
-        self,
-        key: str,
-        default=None,
-        minimum: Optional[float] = None,
-        maximum: Optional[float] = None,
+# -- the one reader ---------------------------------------------------------
+
+_NUMBER_WORDS = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+
+
+def _finite(path: str, raw) -> float:
+    try:
+        value = float(raw)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise SpecError(path, f"must be a finite number, got {raw}")
+    return value
+
+
+def _number(path: str, raw, kind, meta, item: bool = False):
+    """One int/float scalar or list item: type, finiteness, then bounds."""
+    accepted = (int, float) if kind is float else int
+    if isinstance(raw, bool) or not isinstance(raw, accepted):
+        one, many = _NUMBER_WORDS[kind]
+        raise SpecError(
+            path,
+            f"must contain only {many}, got {raw!r}" if item
+            else f"must be {one}, got {raw!r}",
+        )
+    value = _finite(path, raw) if kind is float else raw
+    prefix, shown = ("items ", raw) if item else ("", value)
+    if meta["ge"] is not None and value < meta["ge"]:
+        raise SpecError(path, f"{prefix}must be >= {meta['ge']}, got {shown}")
+    if meta["le"] is not None and value > meta["le"]:
+        raise SpecError(path, f"{prefix}must be <= {meta['le']}, got {shown}")
+    return value
+
+
+def _pair(path: str, raw, meta) -> Tuple[float, float]:
+    """A 2-element ``[lo, hi]`` numeric range with ``ge <= lo <= hi``."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2 or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw
     ):
-        value = self._take(key, default)
-        if value is None:
+        raise SpecError(
+            path, f"must be a 2-element [lo, hi] number list, got {raw!r}"
+        )
+    lo, hi = _finite(path, raw[0]), _finite(path, raw[1])
+    if lo > hi:
+        raise SpecError(path, f"must satisfy lo <= hi, got {raw!r}")
+    if lo < meta["ge"]:
+        raise SpecError(path, f"must be >= {meta['ge']}, got {raw!r}")
+    return (lo, hi)
+
+
+def _check(path: str, raw, hint, meta):
+    """Validate one raw value against its declared type; return the stored form."""
+    if get_origin(hint) is Union:
+        if raw is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        hint = _unwrap(hint)
+    if get_origin(hint) is tuple:
+        kind, tail = get_args(hint)
+        if tail is not Ellipsis:
+            return _pair(path, raw, meta)
+        if not isinstance(raw, (list, tuple)) or not raw:
             raise SpecError(
-                self._key_path(key), f"must be a number, got {value!r}"
+                path,
+                f"must be a non-empty list of {_NUMBER_WORDS[kind][1]}, got {raw!r}",
             )
-        value = float(value)
-        if minimum is not None and value < minimum:
+        return tuple(_number(path, item, kind, meta, item=True) for item in raw)
+    if hint is bool:
+        if not isinstance(raw, bool):
+            raise SpecError(path, f"must be true or false, got {raw!r}")
+        return raw
+    if hint is str:
+        if not isinstance(raw, str):
+            raise SpecError(path, f"must be a string, got {raw!r}")
+        if meta["choices"] is not None and raw not in meta["choices"]:
             raise SpecError(
-                self._key_path(key), f"must be >= {minimum}, got {value}"
+                path, f"must be one of {sorted(meta['choices'])}, got {raw!r}"
             )
-        if maximum is not None and value > maximum:
-            raise SpecError(
-                self._key_path(key), f"must be <= {maximum}, got {value}"
-            )
-        return value
-
-    def take_pair(self, key: str, default=None, minimum: float = 0.0):
-        """A 2-element ``[lo, hi]`` numeric range with ``lo <= hi``."""
-        value = self._take(key, default)
-        if value is None or isinstance(value, tuple):
-            return value
-        if not isinstance(value, list) or len(value) != 2 or any(
-            isinstance(x, bool) or not isinstance(x, (int, float)) for x in value
-        ):
-            raise SpecError(
-                self._key_path(key),
-                f"must be a 2-element [lo, hi] number list, got {value!r}",
-            )
-        lo, hi = float(value[0]), float(value[1])
-        if lo > hi:
-            raise SpecError(
-                self._key_path(key), f"must satisfy lo <= hi, got {value!r}"
-            )
-        if lo < minimum:
-            raise SpecError(
-                self._key_path(key), f"must be >= {minimum}, got {value!r}"
-            )
-        return (lo, hi)
-
-    def take_int_list(self, key: str, default=None, minimum: Optional[int] = None):
-        value = self._take(key, default)
-        if value is None or isinstance(value, tuple):
-            return value
-        if not isinstance(value, list) or not value:
-            raise SpecError(
-                self._key_path(key),
-                f"must be a non-empty list of integers, got {value!r}",
-            )
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise SpecError(
-                    self._key_path(key),
-                    f"must contain only integers, got {item!r}",
-                )
-            if minimum is not None and item < minimum:
-                raise SpecError(
-                    self._key_path(key),
-                    f"items must be >= {minimum}, got {item}",
-                )
-            out.append(item)
-        return tuple(out)
-
-    def take_float_list(self, key: str, default=None, minimum: Optional[float] = None):
-        value = self._take(key, default)
-        if value is None or isinstance(value, tuple):
-            return value
-        if not isinstance(value, list) or not value:
-            raise SpecError(
-                self._key_path(key),
-                f"must be a non-empty list of numbers, got {value!r}",
-            )
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise SpecError(
-                    self._key_path(key),
-                    f"must contain only numbers, got {item!r}",
-                )
-            if minimum is not None and item < minimum:
-                raise SpecError(
-                    self._key_path(key),
-                    f"items must be >= {minimum}, got {item}",
-                )
-            out.append(float(item))
-        return tuple(out)
-
-    def finish(self) -> None:
-        """Reject unknown keys, naming what would have been accepted."""
-        if self._data:
-            unknown = sorted(self._data)[0]
-            raise SpecError(
-                self._key_path(unknown),
-                f"unknown key (expected one of {sorted(self._known)})",
-            )
+        return raw
+    return _number(path, raw, hint, meta)
 
 
-_REQUIRED = object()
+def _read_keys(cls, data: Dict[str, Any], path: str) -> Dict[str, Any]:
+    """Checked constructor kwargs for ``cls`` from one table.
+
+    Keys the table leaves out are left out here too, so the dataclass
+    default applies; a key ``cls`` does not declare is rejected, naming
+    what would have been accepted.
+    """
+    if not isinstance(data, dict):
+        raise SpecError(path, f"must be a table/object, got {type(data).__name__}")
+    out: Dict[str, Any] = {}
+    for f, hint in _keys(cls):
+        if f.name in data:
+            out[f.name] = _check(f"{path}.{f.name}", data[f.name], hint, f.metadata)
+        elif f.default is MISSING:
+            raise SpecError(f"{path}.{f.name}", "is required")
+    known = sorted(f.name for f, _ in _keys(cls))
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise SpecError(
+            f"{path}.{unknown[0]}", f"unknown key (expected one of {known})"
+        )
+    return out
+
+
+# -- the one dumper ---------------------------------------------------------
+
+
+def _dump_keys(section) -> Dict[str, Any]:
+    """``section``'s keys as a JSON-ready dict, in declaration order."""
+    out: Dict[str, Any] = {}
+    for f, _ in _keys(type(section)):
+        value, rule = getattr(section, f.name), f.metadata["dump"]
+        if value is None or (rule == IF_SET and value == f.default):
+            continue
+        if callable(rule) and not rule(section):
+            continue
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def lower_fields(target, *sections, **extra):
+    """Build dataclass ``target`` from the sections' same-named fields."""
+    wanted = {f.name for f in fields(target)}
+    shared = {
+        f.name: getattr(section, f.name)
+        for section in sections
+        for f in fields(section)
+        if f.name in wanted
+    }
+    return target(**shared, **extra)
+
+
+class _Section:
+    """What every section dataclass shares: dict in, dict out, by the table."""
+
+    #: the section's table name, which prefixes its keys in error paths
+    _section = ""
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any], path: str = ""):
+        path = path or cls._section
+        spec = cls(**_read_keys(cls, data, path))
+        spec._cross_check(path)
+        return spec
+
+    def to_dict(self) -> Dict[str, Any]:
+        return _dump_keys(self)
+
+    def _cross_check(self, path: str) -> None:
+        """Rules that relate several keys of this one section."""
 
 
 # -- section dataclasses ----------------------------------------------------
 
 
+def _is_pipeline(workload: "WorkloadSpec") -> bool:
+    return workload.kind == "mlp-pipeline"
+
+
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Section):
     """One MLLess training job (the ``[workload]`` section)."""
 
-    name: str
-    workers: int = 4
-    backend: str = "sim"
+    _section = "workload"
+
+    name: str = key(choices=tuple(WORKLOADS))
+    workers: int = key(4, ge=1)
+    backend: str = key("sim", choices=BACKENDS)
     #: "data-parallel" (the default) or "mlp-pipeline" (model-parallel
     #: stage functions; requires a stageable workload)
-    kind: str = "data-parallel"
+    kind: str = key("data-parallel", choices=WORKLOAD_KINDS)
     #: synchronization policy: "bsp", "ssp" or "adaptive" (SMLT-style
     #: mid-job switching)
-    sync: str = "bsp"
+    sync: str = key("bsp", choices=SYNC_MODES)
     #: ISP significance threshold v (0 = plain BSP)
-    isp_threshold: float = 0.0
-    autotune: bool = False
-    max_steps: int = 100
+    isp_threshold: float = key(0.0, ge=0.0)
+    autotune: bool = key(False)
+    max_steps: int = key(100, ge=1)
     #: None = the workload's published target
-    target_loss: Optional[float] = None
+    target_loss: Optional[float] = key(None, ge=0.0)
     #: mlp-pipeline only: stage count (must equal ``workers``)
-    stages: int = 1
+    stages: int = key(1, ge=1, dump=_is_pipeline)
     #: mlp-pipeline only: micro-batches kept in flight per step
-    micro_batches: int = 1
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], path: str = "workload") -> "WorkloadSpec":
-        reader = _Reader(data, path)
-        name = reader.take_str("name", _REQUIRED, choices=tuple(WORKLOADS))
-        spec = cls(
-            name=name,
-            workers=reader.take_int("workers", 4, minimum=1),
-            backend=reader.take_str("backend", "sim", choices=BACKENDS),
-            kind=reader.take_str("kind", "data-parallel", choices=WORKLOAD_KINDS),
-            sync=reader.take_str("sync", "bsp", choices=SYNC_MODES),
-            isp_threshold=reader.take_float("isp_threshold", 0.0, minimum=0.0),
-            autotune=reader.take_bool("autotune", False),
-            max_steps=reader.take_int("max_steps", 100, minimum=1),
-            target_loss=reader.take_float("target_loss", None, minimum=0.0),
-            stages=reader.take_int("stages", 1, minimum=1),
-            micro_batches=reader.take_int("micro_batches", 1, minimum=1),
-        )
-        reader.finish()
-        return spec
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "workers": self.workers,
-            "backend": self.backend,
-            "kind": self.kind,
-            "sync": self.sync,
-            "isp_threshold": self.isp_threshold,
-            "autotune": self.autotune,
-            "max_steps": self.max_steps,
-        }
-        if self.target_loss is not None:
-            out["target_loss"] = self.target_loss
-        if self.kind == "mlp-pipeline":
-            out["stages"] = self.stages
-            out["micro_batches"] = self.micro_batches
-        return out
+    micro_batches: int = key(1, ge=1, dump=_is_pipeline)
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Section):
     """Config grid for single-job right-sizing sweeps (``[sweep]``)."""
 
-    workers: Tuple[int, ...] = ()
-    isp_threshold: Tuple[float, ...] = ()
+    _section = "sweep"
+
     #: recommendation picks the cheapest combo within this factor of the
     #: fastest combo's exec time (the ROADMAP's "1.2x of fastest" rule)
-    speed_tolerance: float = 1.2
+    speed_tolerance: float = key(1.2, ge=1.0)
+    workers: Tuple[int, ...] = key((), ge=1, dump=IF_SET)
+    isp_threshold: Tuple[float, ...] = key((), ge=0.0, dump=IF_SET)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], path: str = "sweep") -> "SweepSpec":
-        reader = _Reader(data, path)
-        spec = cls(
-            workers=reader.take_int_list("workers", (), minimum=1) or (),
-            isp_threshold=reader.take_float_list("isp_threshold", (), minimum=0.0)
-            or (),
-            speed_tolerance=reader.take_float("speed_tolerance", 1.2, minimum=1.0),
-        )
-        reader.finish()
-        if not spec.workers and not spec.isp_threshold:
+    def _cross_check(self, path: str) -> None:
+        if not self.workers and not self.isp_threshold:
             raise SpecError(
                 path, "must set at least one of 'workers' / 'isp_threshold'"
             )
-        return spec
 
     def combos(self, base_workers: int, base_v: float) -> List[Tuple[int, float]]:
         """The (workers, isp_threshold) grid, base values filling gaps."""
@@ -340,351 +338,145 @@ class SweepSpec:
         thresholds = self.isp_threshold or (base_v,)
         return [(w, v) for w in workers for v in thresholds]
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"speed_tolerance": self.speed_tolerance}
-        if self.workers:
-            out["workers"] = list(self.workers)
-        if self.isp_threshold:
-            out["isp_threshold"] = list(self.isp_threshold)
-        return out
+
+def _inline(default, **rules):
+    """An inline ``[faults]`` key; a named preset dumps as its name alone."""
+    return key(default, dump=lambda faults: faults.profile is None, **rules)
 
 
-#: inline-rate keys of the ``[faults]`` section, mirroring FaultProfile
-_FAULT_RATE_KEYS = (
-    "crash_rate",
-    "coldstart_spike_rate",
-    "straggler_rate",
-    "message_loss_rate",
-    "message_duplication_rate",
-    "kv_error_rate",
-    "cos_error_rate",
-)
+def _rate():
+    return _inline(0.0, ge=0.0, le=1.0)
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_Section):
     """Fault injection (``[faults]``): a named preset or inline rates."""
 
-    profile: Optional[str] = None
-    crash_rate: float = 0.0
-    crash_window_s: Tuple[float, float] = (0.5, 30.0)
-    coldstart_spike_rate: float = 0.0
-    coldstart_spike_factor: Tuple[float, float] = (2.0, 8.0)
-    straggler_rate: float = 0.0
-    straggler_factor: Tuple[float, float] = (1.5, 4.0)
-    message_loss_rate: float = 0.0
-    message_duplication_rate: float = 0.0
-    kv_error_rate: float = 0.0
-    cos_error_rate: float = 0.0
-    max_storage_retries: int = 4
+    _section = "faults"
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], path: str = "faults") -> "FaultSpec":
-        reader = _Reader(data, path)
-        profile = reader.take_str(
-            "profile", None, choices=tuple(sorted(FAULT_PROFILES))
-        )
-        kwargs = dict(
-            crash_rate=reader.take_float("crash_rate", 0.0, 0.0, 1.0),
-            crash_window_s=reader.take_pair("crash_window_s", (0.5, 30.0), 0.0),
-            coldstart_spike_rate=reader.take_float(
-                "coldstart_spike_rate", 0.0, 0.0, 1.0
-            ),
-            coldstart_spike_factor=reader.take_pair(
-                "coldstart_spike_factor", (2.0, 8.0), 1.0
-            ),
-            straggler_rate=reader.take_float("straggler_rate", 0.0, 0.0, 1.0),
-            straggler_factor=reader.take_pair("straggler_factor", (1.5, 4.0), 1.0),
-            message_loss_rate=reader.take_float("message_loss_rate", 0.0, 0.0, 1.0),
-            message_duplication_rate=reader.take_float(
-                "message_duplication_rate", 0.0, 0.0, 1.0
-            ),
-            kv_error_rate=reader.take_float("kv_error_rate", 0.0, 0.0, 1.0),
-            cos_error_rate=reader.take_float("cos_error_rate", 0.0, 0.0, 1.0),
-            max_storage_retries=reader.take_int("max_storage_retries", 4, minimum=0),
-        )
-        reader.finish()
-        spec = cls(profile=profile, **kwargs)
-        if profile is not None and any(
-            getattr(spec, key) > 0.0 for key in _FAULT_RATE_KEYS
+    profile: Optional[str] = key(None, choices=tuple(FAULT_PROFILES))
+    crash_rate: float = _rate()
+    crash_window_s: Tuple[float, float] = _inline((0.5, 30.0), ge=0.0)
+    coldstart_spike_rate: float = _rate()
+    coldstart_spike_factor: Tuple[float, float] = _inline((2.0, 8.0), ge=1.0)
+    straggler_rate: float = _rate()
+    straggler_factor: Tuple[float, float] = _inline((1.5, 4.0), ge=1.0)
+    message_loss_rate: float = _rate()
+    message_duplication_rate: float = _rate()
+    kv_error_rate: float = _rate()
+    cos_error_rate: float = _rate()
+    max_storage_retries: int = _inline(4, ge=0)
+
+    def _cross_check(self, path: str) -> None:
+        if self.profile is not None and any(
+            getattr(self, name) > 0.0 for name in FAULT_RATE_FIELDS
         ):
             raise SpecError(
                 path, "sets both a named 'profile' and inline rates; pick one"
             )
-        if (
-            spec.message_loss_rate + spec.message_duplication_rate > 1.0
-        ):
+        if self.message_loss_rate + self.message_duplication_rate > 1.0:
             raise SpecError(
                 f"{path}.message_loss_rate",
                 "message loss + duplication rates must sum to <= 1",
             )
-        return spec
 
     def to_profile(self, scenario_name: str) -> FaultProfile:
         """Lower to the injector's :class:`FaultProfile`."""
         if self.profile is not None:
             return FAULT_PROFILES[self.profile]
-        return FaultProfile(
-            name=f"scenario:{scenario_name}",
-            crash_rate=self.crash_rate,
-            crash_window_s=self.crash_window_s,
-            coldstart_spike_rate=self.coldstart_spike_rate,
-            coldstart_spike_factor=self.coldstart_spike_factor,
-            straggler_rate=self.straggler_rate,
-            straggler_factor=self.straggler_factor,
-            message_loss_rate=self.message_loss_rate,
-            message_duplication_rate=self.message_duplication_rate,
-            kv_error_rate=self.kv_error_rate,
-            cos_error_rate=self.cos_error_rate,
-            max_storage_retries=self.max_storage_retries,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        if self.profile is not None:
-            return {"profile": self.profile}
-        return {
-            "crash_rate": self.crash_rate,
-            "crash_window_s": list(self.crash_window_s),
-            "coldstart_spike_rate": self.coldstart_spike_rate,
-            "coldstart_spike_factor": list(self.coldstart_spike_factor),
-            "straggler_rate": self.straggler_rate,
-            "straggler_factor": list(self.straggler_factor),
-            "message_loss_rate": self.message_loss_rate,
-            "message_duplication_rate": self.message_duplication_rate,
-            "kv_error_rate": self.kv_error_rate,
-            "cos_error_rate": self.cos_error_rate,
-            "max_storage_retries": self.max_storage_retries,
-        }
+        return lower_fields(FaultProfile, self, name=f"scenario:{scenario_name}")
 
 
 @dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(_Section):
     """Multi-tenant arrival traffic (``[traffic]``)."""
 
-    tenants: int = 24
-    horizon_s: float = 7200.0
-    mean_rate_per_h: float = 9.0
-    diurnal_amplitude: float = 0.6
-    peak_time_s: float = 2700.0
-    period_s: float = 7200.0
-    bursts_per_h: float = 0.5
-    burst_len_s: float = 300.0
-    burst_multiplier: float = 5.0
+    _section = "traffic"
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], path: str = "traffic") -> "TrafficSpec":
-        reader = _Reader(data, path)
-        spec = cls(
-            tenants=reader.take_int("tenants", 24, minimum=1),
-            horizon_s=reader.take_float("horizon_s", 7200.0, minimum=1.0),
-            mean_rate_per_h=reader.take_float("mean_rate_per_h", 9.0, minimum=0.0),
-            diurnal_amplitude=reader.take_float(
-                "diurnal_amplitude", 0.6, 0.0, 0.999
-            ),
-            peak_time_s=reader.take_float("peak_time_s", 2700.0, minimum=0.0),
-            period_s=reader.take_float("period_s", 7200.0, minimum=1.0),
-            bursts_per_h=reader.take_float("bursts_per_h", 0.5, minimum=0.0),
-            burst_len_s=reader.take_float("burst_len_s", 300.0, minimum=0.0),
-            burst_multiplier=reader.take_float("burst_multiplier", 5.0, minimum=1.0),
-        )
-        reader.finish()
-        return spec
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tenants": self.tenants,
-            "horizon_s": self.horizon_s,
-            "mean_rate_per_h": self.mean_rate_per_h,
-            "diurnal_amplitude": self.diurnal_amplitude,
-            "peak_time_s": self.peak_time_s,
-            "period_s": self.period_s,
-            "bursts_per_h": self.bursts_per_h,
-            "burst_len_s": self.burst_len_s,
-            "burst_multiplier": self.burst_multiplier,
-        }
+    tenants: int = key(24, ge=1)
+    horizon_s: float = key(7200.0, ge=1.0)
+    mean_rate_per_h: float = key(9.0, ge=0.0)
+    diurnal_amplitude: float = key(0.6, ge=0.0, le=0.999)
+    peak_time_s: float = key(2700.0, ge=0.0)
+    period_s: float = key(7200.0, ge=1.0)
+    bursts_per_h: float = key(0.5, ge=0.0)
+    burst_len_s: float = key(300.0, ge=0.0)
+    burst_multiplier: float = key(5.0, ge=1.0)
 
 
 @dataclass(frozen=True)
-class JobMixSpec:
+class JobMixSpec(_Section):
     """Per-tenant job size sampling ranges (``[jobs]``)."""
 
-    min_workers: int = 1
-    max_workers: int = 4
-    min_steps: int = 20
-    max_steps: int = 60
-    step_cpu_median_s: float = 0.35
-    step_cpu_sigma: float = 0.45
-    sync_every: int = 5
+    _section = "jobs"
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], path: str = "jobs") -> "JobMixSpec":
-        reader = _Reader(data, path)
-        spec = cls(
-            min_workers=reader.take_int("min_workers", 1, minimum=1),
-            max_workers=reader.take_int("max_workers", 4, minimum=1),
-            min_steps=reader.take_int("min_steps", 20, minimum=1),
-            max_steps=reader.take_int("max_steps", 60, minimum=1),
-            step_cpu_median_s=reader.take_float(
-                "step_cpu_median_s", 0.35, minimum=1e-6
-            ),
-            step_cpu_sigma=reader.take_float("step_cpu_sigma", 0.45, minimum=0.0),
-            sync_every=reader.take_int("sync_every", 5, minimum=0),
-        )
-        reader.finish()
-        if spec.min_workers > spec.max_workers:
-            raise SpecError(
-                f"{path}.min_workers",
-                f"must be <= jobs.max_workers ({spec.max_workers}), "
-                f"got {spec.min_workers}",
-            )
-        if spec.min_steps > spec.max_steps:
-            raise SpecError(
-                f"{path}.min_steps",
-                f"must be <= jobs.max_steps ({spec.max_steps}), got {spec.min_steps}",
-            )
-        return spec
+    min_workers: int = key(1, ge=1)
+    max_workers: int = key(4, ge=1)
+    min_steps: int = key(20, ge=1)
+    max_steps: int = key(60, ge=1)
+    step_cpu_median_s: float = key(0.35, ge=1e-6)
+    step_cpu_sigma: float = key(0.45, ge=0.0)
+    sync_every: int = key(5, ge=0)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "min_workers": self.min_workers,
-            "max_workers": self.max_workers,
-            "min_steps": self.min_steps,
-            "max_steps": self.max_steps,
-            "step_cpu_median_s": self.step_cpu_median_s,
-            "step_cpu_sigma": self.step_cpu_sigma,
-            "sync_every": self.sync_every,
-        }
+    def _cross_check(self, path: str) -> None:
+        for what in ("workers", "steps"):
+            low, high = getattr(self, f"min_{what}"), getattr(self, f"max_{what}")
+            if low > high:
+                raise SpecError(
+                    f"{path}.min_{what}",
+                    f"must be <= jobs.max_{what} ({high}), got {low}",
+                )
 
 
 @dataclass(frozen=True)
-class PoolSpec:
+class PoolSpec(_Section):
     """Shared-pool shape (``[pool]``)."""
 
-    concurrency: int = 12
-    memory_grades_mb: Tuple[int, ...] = (1024, 2048)
-    keep_alive_s: float = 180.0
-    scale_to_zero_after_s: float = 60.0
-    max_skips: int = 8
+    _section = "pool"
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], path: str = "pool") -> "PoolSpec":
-        reader = _Reader(data, path)
-        spec = cls(
-            concurrency=reader.take_int("concurrency", 12, minimum=1),
-            memory_grades_mb=reader.take_int_list(
-                "memory_grades_mb", (1024, 2048), minimum=128
-            ),
-            keep_alive_s=reader.take_float("keep_alive_s", 180.0, minimum=0.0),
-            scale_to_zero_after_s=reader.take_float(
-                "scale_to_zero_after_s", 60.0, minimum=0.0
-            ),
-            max_skips=reader.take_int("max_skips", 8, minimum=0),
-        )
-        reader.finish()
-        return spec
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "concurrency": self.concurrency,
-            "memory_grades_mb": list(self.memory_grades_mb),
-            "keep_alive_s": self.keep_alive_s,
-            "scale_to_zero_after_s": self.scale_to_zero_after_s,
-            "max_skips": self.max_skips,
-        }
+    concurrency: int = key(12, ge=1)
+    memory_grades_mb: Tuple[int, ...] = key((1024, 2048), ge=128)
+    keep_alive_s: float = key(180.0, ge=0.0)
+    scale_to_zero_after_s: float = key(60.0, ge=0.0)
+    max_skips: int = key(8, ge=0)
 
 
 @dataclass(frozen=True)
-class PricingSpec:
+class PricingSpec(_Section):
     """Billing rates (``[pricing]``)."""
 
+    _section = "pricing"
+
     #: $ per GB-second of billed function time (the paper's Table 2 rate)
-    rate_per_gb_s: float = 1.7e-5
+    rate_per_gb_s: float = key(1.7e-5, ge=0.0)
     #: platform idle keep-alive re-billed at this fraction of active rate
-    idle_rate_fraction: float = 0.25
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], path: str = "pricing") -> "PricingSpec":
-        reader = _Reader(data, path)
-        spec = cls(
-            rate_per_gb_s=reader.take_float("rate_per_gb_s", 1.7e-5, minimum=0.0),
-            idle_rate_fraction=reader.take_float(
-                "idle_rate_fraction", 0.25, 0.0, 1.0
-            ),
-        )
-        reader.finish()
-        return spec
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rate_per_gb_s": self.rate_per_gb_s,
-            "idle_rate_fraction": self.idle_rate_fraction,
-        }
+    idle_rate_fraction: float = key(0.25, ge=0.0, le=1.0)
 
 
 @dataclass(frozen=True)
-class BudgetSpec:
+class BudgetSpec(_Section):
     """Run budget (``[budget]``): KPI ceilings the run must stay under."""
 
-    max_cost_usd: Optional[float] = None
-    max_exec_time_s: Optional[float] = None
+    _section = "budget"
+
+    max_cost_usd: Optional[float] = key(None, ge=0.0)
+    max_exec_time_s: Optional[float] = key(None, ge=0.0)
     #: platform runs only: p95 queue wait ceiling
-    max_queue_wait_p95_s: Optional[float] = None
-    require_converged: bool = False
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], path: str = "budget") -> "BudgetSpec":
-        reader = _Reader(data, path)
-        spec = cls(
-            max_cost_usd=reader.take_float("max_cost_usd", None, minimum=0.0),
-            max_exec_time_s=reader.take_float("max_exec_time_s", None, minimum=0.0),
-            max_queue_wait_p95_s=reader.take_float(
-                "max_queue_wait_p95_s", None, minimum=0.0
-            ),
-            require_converged=reader.take_bool("require_converged", False),
-        )
-        reader.finish()
-        return spec
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        if self.max_cost_usd is not None:
-            out["max_cost_usd"] = self.max_cost_usd
-        if self.max_exec_time_s is not None:
-            out["max_exec_time_s"] = self.max_exec_time_s
-        if self.max_queue_wait_p95_s is not None:
-            out["max_queue_wait_p95_s"] = self.max_queue_wait_p95_s
-        if self.require_converged:
-            out["require_converged"] = True
-        return out
+    max_queue_wait_p95_s: Optional[float] = key(None, ge=0.0)
+    require_converged: bool = key(False, dump=IF_SET)
 
 
 @dataclass(frozen=True)
-class ReportSpec:
+class ReportSpec(_Section):
     """What the KPI report includes beyond the headline numbers."""
+
+    _section = "report"
 
     #: record a span trace and include the critical-path summary
     #: (single-job sim runs only)
-    critical_path: bool = False
+    critical_path: bool = key(False, dump=IF_SET)
     #: price the per-job-isolation counterfactual (platform runs only)
-    isolated_baseline: bool = False
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], path: str = "report") -> "ReportSpec":
-        reader = _Reader(data, path)
-        spec = cls(
-            critical_path=reader.take_bool("critical_path", False),
-            isolated_baseline=reader.take_bool("isolated_baseline", False),
-        )
-        reader.finish()
-        return spec
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        if self.critical_path:
-            out["critical_path"] = True
-        if self.isolated_baseline:
-            out["isolated_baseline"] = True
-        return out
+    isolated_baseline: bool = key(False, dump=IF_SET)
 
 
 # -- the top-level spec -----------------------------------------------------
@@ -692,12 +484,16 @@ class ReportSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One fully-described, replayable scenario."""
+    """One fully-described, replayable scenario.
 
-    name: str
-    kind: str
-    seed: int = 0
-    description: str = ""
+    The four :func:`key` fields are the ``[scenario]`` table; every
+    other field is one optional section table of the same name.
+    """
+
+    name: str = key()
+    kind: str = key(choices=KINDS)
+    seed: int = key(0, ge=0)
+    description: str = key("", dump=IF_SET)
     workload: Optional[WorkloadSpec] = None
     sweep: Optional[SweepSpec] = None
     faults: Optional[FaultSpec] = None
@@ -721,48 +517,27 @@ class ScenarioSpec:
         return self.workload is not None and self.workload.backend == "sim"
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready nested dict; lossless input to :func:`spec_from_dict`."""
-        out: Dict[str, Any] = {
-            "scenario": {
-                "name": self.name,
-                "kind": self.kind,
-                "seed": self.seed,
-            }
-        }
-        if self.description:
-            out["scenario"]["description"] = self.description
-        for key, section in (
-            ("workload", self.workload),
-            ("sweep", self.sweep),
-            ("faults", self.faults),
-            ("traffic", self.traffic),
-            ("jobs", self.jobs),
-            ("pool", self.pool),
-        ):
-            if section is not None:
-                out[key] = section.to_dict()
-        out["pricing"] = self.pricing.to_dict()
-        budget = self.budget.to_dict()
-        if budget:
-            out["budget"] = budget
-        report = self.report.to_dict()
-        if report:
-            out["report"] = report
+        """A JSON-ready nested dict; lossless input to :func:`spec_from_dict`.
+
+        A section left unset, or whose every key is at an undumped
+        default (``[budget]``, ``[report]``), has no table.
+        """
+        out: Dict[str, Any] = {"scenario": _dump_keys(self)}
+        for name in _SECTIONS:
+            section = getattr(self, name)
+            table = section.to_dict() if section is not None else None
+            if table:
+                out[name] = table
         return out
 
 
-_SECTION_KEYS = (
-    "scenario",
-    "workload",
-    "sweep",
-    "faults",
-    "traffic",
-    "jobs",
-    "pool",
-    "pricing",
-    "budget",
-    "report",
-)
+#: section table name -> its dataclass, in canonical (dump) order
+_SECTIONS: Dict[str, type] = {
+    f.name: _unwrap(get_type_hints(ScenarioSpec)[f.name])
+    for f in fields(ScenarioSpec)
+    if not f.metadata
+}
+_SECTION_KEYS = ("scenario", *_SECTIONS)
 
 #: template names must be CLI- and filename-safe
 _NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-")
@@ -779,37 +554,21 @@ def spec_from_dict(data: Dict[str, Any]) -> ScenarioSpec:
         )
     if "scenario" not in data:
         raise SpecError("scenario", "is required")
-
-    head = _Reader(data["scenario"], "scenario")
-    name = head.take_str("name", _REQUIRED)
+    head = data["scenario"]
+    if isinstance(head, dict) and head.get("description", "") is None:
+        # a JSON author's ``"description": null`` reads as "none given"
+        head = {**head, "description": ""}
+    kwargs = _read_keys(ScenarioSpec, head, "scenario")
+    name = kwargs["name"]
     if not name or not set(name) <= _NAME_CHARS or name[0] == "-":
         raise SpecError(
             "scenario.name",
             f"must be lowercase letters/digits/dashes, got {name!r}",
         )
-    kind = head.take_str("kind", _REQUIRED, choices=KINDS)
-    seed = head.take_int("seed", 0, minimum=0)
-    description = head.take_str("description", "")
-    head.finish()
-
-    def section(key: str, cls):
-        return cls.from_dict(data[key], key) if key in data else None
-
-    spec = ScenarioSpec(
-        name=name,
-        kind=kind,
-        seed=seed,
-        description=description or "",
-        workload=section("workload", WorkloadSpec),
-        sweep=section("sweep", SweepSpec),
-        faults=section("faults", FaultSpec),
-        traffic=section("traffic", TrafficSpec),
-        jobs=section("jobs", JobMixSpec),
-        pool=section("pool", PoolSpec),
-        pricing=section("pricing", PricingSpec) or PricingSpec(),
-        budget=section("budget", BudgetSpec) or BudgetSpec(),
-        report=section("report", ReportSpec) or ReportSpec(),
-    )
+    for section, cls in _SECTIONS.items():
+        if section in data:
+            kwargs[section] = cls.from_dict(data[section], section)
+    spec = ScenarioSpec(**kwargs)
     _cross_validate(spec)
     return spec
 

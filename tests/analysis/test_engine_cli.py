@@ -2,6 +2,7 @@
 
 import json
 import textwrap
+import tomllib
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.analysis import (
     write_baseline,
 )
 from repro.analysis.cli import main as cli_main
-from repro.analysis.config import config_from_table, parse_toml_subset
+from repro.analysis.config import config_from_table
 from repro.analysis.engine import module_path, parse_suppressions
 
 BAD_SIM_MODULE = """
@@ -36,7 +37,7 @@ def write_package(tmp_path, source=BAD_SIM_MODULE, layer="sim"):
 # -- config ------------------------------------------------------------------
 
 
-def test_toml_subset_parser_matches_expected_shape():
+def test_sim_lint_table_shape_builds_config():
     text = textwrap.dedent(
         """
         [project]
@@ -54,7 +55,7 @@ def test_toml_subset_parser_matches_expected_shape():
         "sim/rand.py" = ["SIM002", "SIM005"]
         """
     )
-    table = parse_toml_subset(text)["tool"]["sim-lint"]
+    table = tomllib.loads(text)["tool"]["sim-lint"]
     assert table["simulated-layers"] == ["sim", "faas"]
     assert table["exclude"] == []
     assert table["billing-modules"] == ["faas/billing.py", "experiments/report.py"]

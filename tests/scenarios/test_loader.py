@@ -1,12 +1,10 @@
-"""Loader: TOML/JSON text -> spec -> text round-trips, origin prefixes,
-and tomllib / fallback-parser parity on every committed template."""
+"""Loader: TOML/JSON text -> spec -> text round-trips, origin prefixes."""
 
 import json
 
 import pytest
 
-from repro.analysis.config import parse_toml_subset
-from repro.scenarios import SpecError, load_spec_text, spec_from_dict
+from repro.scenarios import SpecError, load_spec_text
 from repro.scenarios.cli import list_templates
 from repro.scenarios.loader import detect_format, dump_spec_json, dump_spec_toml
 
@@ -115,40 +113,3 @@ def test_file_round_trip_through_disk(tmp_path):
     assert reloaded == spec
     assert reloaded.to_dict() == spec.to_dict()
 
-
-# -- fallback parser parity (the 3.9/3.10 path) ------------------------------
-
-
-@pytest.mark.parametrize(
-    "name,path", list_templates(), ids=[n for n, _ in list_templates()]
-)
-def test_fallback_parser_parity_on_templates(name, path):
-    """parse_toml_subset must build the same spec tomllib would.
-
-    On 3.11+ this compares both parsers directly; on 3.9/3.10 it checks
-    that the fallback alone produces a valid spec (tomllib is absent, so
-    the fallback IS the production path).
-    """
-    text = path.read_text(encoding="utf-8")
-    via_fallback = spec_from_dict(parse_toml_subset(text))
-    try:
-        import tomllib
-    except ImportError:
-        assert via_fallback.name == name
-        return
-    assert spec_from_dict(tomllib.loads(text)) == via_fallback
-
-
-def test_fallback_parses_numeric_arrays():
-    parsed = parse_toml_subset(
-        "[faults]\ncrash_window_s = [0.5, 15.0]\n"
-        "[pool]\nmemory_grades_mb = [1024, 2048]\nflags = [true, false]\n"
-    )
-    assert parsed["faults"]["crash_window_s"] == [0.5, 15.0]
-    assert parsed["pool"]["memory_grades_mb"] == [1024, 2048]
-    assert parsed["pool"]["flags"] == [True, False]
-
-
-def test_fallback_parses_quoted_strings_with_commas():
-    parsed = parse_toml_subset('[s]\nnames = ["a,b", "c"]\n')
-    assert parsed["s"]["names"] == ["a,b", "c"]

@@ -1,0 +1,261 @@
+"""Walk the spec's field table: every declared key, every declared rule.
+
+The cases are generated from ``dataclasses.fields`` of ``ScenarioSpec``
+and of each section class, so a key added to the table is covered here
+without a new test.  For each key: a wrong type, ``null``, NaN/inf (for
+numeric keys), one below ``ge``, one above ``le`` and a value outside
+``choices`` must each raise ``SpecError`` whose ``.path`` is exactly
+``section.key``.
+"""
+
+import copy
+import dataclasses
+import json
+import typing
+
+import pytest
+
+from repro.faults import FaultProfile
+from repro.scenarios import (
+    JobMixSpec,
+    PoolSpec,
+    PricingSpec,
+    ScenarioSpec,
+    SpecError,
+    TrafficSpec,
+    load_spec_text,
+    spec_from_dict,
+)
+from repro.scenarios.compiler import _platform_config
+
+NAN, INF = float("nan"), float("inf")
+
+SINGLE_JOB = {
+    "scenario": {"name": "t", "kind": "single-job"},
+    "workload": {"name": "pmf-ml10m"},
+}
+PLATFORM = {"scenario": {"name": "t", "kind": "platform"}}
+PLATFORM_SECTIONS = ("traffic", "jobs", "pool")
+
+
+def unwrap(hint):
+    """``Optional[X]`` -> ``X``."""
+    if typing.get_origin(hint) is typing.Union:
+        return typing.get_args(hint)[0]
+    return hint
+
+
+def section_classes():
+    """``{table name: dataclass}`` for ``[scenario]`` and every section."""
+    hints = typing.get_type_hints(ScenarioSpec)
+    out = {"scenario": ScenarioSpec}
+    for f in dataclasses.fields(ScenarioSpec):
+        if not f.metadata:
+            out[f.name] = unwrap(hints[f.name])
+    return out
+
+
+def keys_of(cls):
+    """``(field, resolved annotation)`` for every spec key ``cls`` declares."""
+    hints = typing.get_type_hints(cls)
+    return [(f, hints[f.name]) for f in dataclasses.fields(cls) if f.metadata]
+
+
+KEYS = [
+    (section, f, hint)
+    for section, cls in section_classes().items()
+    for f, hint in keys_of(cls)
+]
+KEY_IDS = [f"{section}.{f.name}" for section, f, _ in KEYS]
+
+
+def doc_with(section, key, value):
+    base = PLATFORM if section in PLATFORM_SECTIONS else SINGLE_JOB
+    doc = copy.deepcopy(base)
+    doc.setdefault(section, {})[key] = value
+    return doc
+
+
+def rejected_at(section, key, value):
+    with pytest.raises(SpecError) as excinfo:
+        spec_from_dict(doc_with(section, key, value))
+    assert excinfo.value.path == f"{section}.{key}", str(excinfo.value)
+    return str(excinfo.value)
+
+
+def is_pair(hint):
+    return typing.get_origin(hint) is tuple and typing.get_args(hint)[-1] is not Ellipsis
+
+
+def is_list(hint):
+    return typing.get_origin(hint) is tuple and typing.get_args(hint)[-1] is Ellipsis
+
+
+def shaped(hint, number):
+    """``number`` in the shape the key takes: scalar, ``[lo, hi]`` or list."""
+    if is_pair(hint):
+        return [number, number]
+    if is_list(hint):
+        return [number]
+    return number
+
+
+def takes_floats(hint):
+    return hint is float or (
+        typing.get_origin(hint) is tuple and typing.get_args(hint)[0] is float
+    )
+
+
+def test_table_covers_every_section():
+    assert list(section_classes()) == [
+        "scenario", "workload", "sweep", "faults", "traffic", "jobs",
+        "pool", "pricing", "budget", "report",
+    ]
+    assert {section for section, _, _ in KEYS} == set(section_classes())
+
+
+@pytest.mark.parametrize("section,f,hint", KEYS, ids=KEY_IDS)
+def test_wrong_type_is_rejected_at_the_key(section, f, hint):
+    inner = unwrap(hint)
+    wrong = 7 if inner in (str, bool) else "seven"
+    rejected_at(section, f.name, wrong)
+    if inner is int:
+        rejected_at(section, f.name, 1.5)
+        rejected_at(section, f.name, True)
+    if typing.get_origin(inner) is tuple:
+        rejected_at(section, f.name, [])
+        rejected_at(section, f.name, ["seven", "seven"])
+
+
+@pytest.mark.parametrize("section,f,hint", KEYS, ids=KEY_IDS)
+def test_null_only_where_the_type_is_optional(section, f, hint):
+    if typing.get_origin(hint) is typing.Union:
+        spec = spec_from_dict(doc_with(section, f.name, None))
+        assert getattr(getattr(spec, section), f.name) is None
+    elif (section, f.name) == ("scenario", "description"):
+        assert spec_from_dict(doc_with(section, f.name, None)).description == ""
+    else:
+        assert rejected_at(section, f.name, None).endswith("got None")
+
+
+@pytest.mark.parametrize(
+    "section,f,hint",
+    [k for k in KEYS if takes_floats(unwrap(k[2]))],
+    ids=[i for i, k in zip(KEY_IDS, KEYS) if takes_floats(unwrap(k[2]))],
+)
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_rejected(section, f, hint, bad):
+    message = rejected_at(section, f.name, shaped(unwrap(hint), bad))
+    assert message == f"{section}.{f.name}: must be a finite number, got {bad}"
+
+
+@pytest.mark.parametrize("section,f,hint", KEYS, ids=KEY_IDS)
+def test_bounds_and_choices_are_enforced(section, f, hint):
+    inner = unwrap(hint)
+    ge, le, choices = (f.metadata[k] for k in ("ge", "le", "choices"))
+    if ge is not None:
+        assert f"must be >= {ge}" in rejected_at(
+            section, f.name, shaped(inner, ge - 1)
+        )
+    if le is not None:
+        assert f"must be <= {le}" in rejected_at(
+            section, f.name, shaped(inner, le + 1)
+        )
+    if choices is not None:
+        assert f"must be one of {sorted(choices)}" in rejected_at(
+            section, f.name, "no-such-choice"
+        )
+
+
+@pytest.mark.parametrize(
+    "section,f,hint",
+    [k for k in KEYS if k[1].default is dataclasses.MISSING],
+    ids=[i for i, k in zip(KEY_IDS, KEYS) if k[1].default is dataclasses.MISSING],
+)
+def test_required_keys(section, f, hint):
+    doc = doc_with(section, f.name, None)
+    del doc[section][f.name]
+    with pytest.raises(SpecError) as excinfo:
+        spec_from_dict(doc)
+    assert str(excinfo.value) == f"{section}.{f.name}: is required"
+
+
+@pytest.mark.parametrize("section", list(section_classes()))
+def test_unknown_key_names_the_sorted_known_keys(section):
+    known = sorted(f.name for s, f, _ in KEYS if s == section)
+    message = rejected_at(section, "no_such_key", 1)
+    assert message == (
+        f"{section}.no_such_key: unknown key (expected one of {known})"
+    )
+
+
+# -- by-name lowering reaches every key -------------------------------------
+
+
+def off_default(section_cls):
+    """An instance with every key moved off its default."""
+    changed = {}
+    for f in dataclasses.fields(section_cls):
+        value = f.default
+        if isinstance(value, tuple):
+            changed[f.name] = tuple(x * 2 for x in value)
+        else:
+            changed[f.name] = value / 2 if isinstance(value, float) else value + 1
+    return section_cls(**changed)
+
+
+def test_platform_lowering_carries_every_key():
+    traffic, jobs, pool, pricing = map(
+        off_default, (TrafficSpec, JobMixSpec, PoolSpec, PricingSpec)
+    )
+    config = _platform_config(
+        ScenarioSpec(name="t", kind="platform", traffic=traffic, jobs=jobs,
+                     pool=pool, pricing=pricing)
+    )
+    renamed = {"tenants": "n_tenants", "concurrency": "pool_concurrency"}
+    carriers = (config, config.traffic, config.sizes, config.economics)
+    for section in (traffic, jobs, pool, pricing):
+        for f in dataclasses.fields(section):
+            name = renamed.get(f.name, f.name)
+            found = [getattr(c, name) for c in carriers if hasattr(c, name)]
+            assert found, f"{type(section).__name__}.{f.name} is dropped"
+            assert all(v == getattr(section, f.name) for v in found), f.name
+
+
+def test_inline_faults_lower_every_key_but_profile():
+    spec = spec_from_dict(doc_with("faults", "kv_error_rate", 0.5))
+    profile = spec.faults.to_profile("t")
+    assert isinstance(profile, FaultProfile)
+    for f in dataclasses.fields(spec.faults):
+        if f.name != "profile":
+            assert getattr(profile, f.name) == getattr(spec.faults, f.name)
+
+
+# -- the file-level probes that used to hang or crash a run -----------------
+
+
+def test_infinite_horizon_from_toml_is_a_load_error():
+    text = (
+        '[scenario]\nname = "t"\nkind = "platform"\n'
+        "[traffic]\nhorizon_s = inf\n"
+    )
+    with pytest.raises(SpecError) as excinfo:
+        load_spec_text(text, origin="x.toml")
+    assert str(excinfo.value) == (
+        "x.toml: traffic.horizon_s: must be a finite number, got inf"
+    )
+
+
+def test_nan_budget_from_json_is_a_load_error():
+    doc = doc_with("budget", "max_cost_usd", NAN)
+    with pytest.raises(SpecError) as excinfo:
+        load_spec_text(json.dumps(doc), origin="x.json")
+    assert str(excinfo.value) == (
+        "x.json: budget.max_cost_usd: must be a finite number, got nan"
+    )
+
+
+def test_null_kind_is_not_a_platform_scenario():
+    assert rejected_at("scenario", "kind", None) == (
+        "scenario.kind: must be a string, got None"
+    )

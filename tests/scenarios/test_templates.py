@@ -5,9 +5,12 @@ This is the acceptance gate from the issue: >= 4 templates, seed-stable
 KPI digests, exact invoice/billing reconciliation on every run.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from repro.scenarios import load_spec_text, run_scenario_spec
+from repro.scenarios import dump_spec_toml, load_spec_text, run_scenario_spec
 from repro.scenarios.cli import list_templates
 
 TEMPLATES = list_templates()
@@ -31,6 +34,43 @@ def test_template_validates_and_is_deterministic(name):
     assert spec.name == name, "template file name must match scenario.name"
     assert spec.description, "committed templates document themselves"
     assert spec.deterministic, "committed templates must be digest-gateable"
+
+
+#: sha256 of each template's spec echo: (compact JSON of ``to_dict()`` in
+#: insertion order — so key order is held too — , ``dump_spec_toml`` text)
+DUMP_PINS = {
+    "diurnal-multi-tenant": (
+        "3eec5c48d229545978ebfb36e9cab39b3690f8fada588fea8829cfeaf40a9891",
+        "b7cd6bdf6934277fd5e721bdb1169f683d01f6ecd19d5e85117bd994ec3b080e",
+    ),
+    "fault-storm": (
+        "ca6ea57827abe9950a6a8442280c74fd85234f2ce46bbe7f018bb539b1e2017d",
+        "4b2dbf9a41b1c791ab448ba4537cb08f474acac58842229a8c4e14d6ae7dedd5",
+    ),
+    "pipeline-mlp": (
+        "d74c68a9c46fa0fa565295794882537a4a9e836a1e8e54f16c8863c702cfd526",
+        "524bfe5717281bb654cc49e7f427393f1e38d543257fa59953faafedb8d3b5c3",
+    ),
+    "rightsize-sweep": (
+        "a40c17b169076e4217f89c25ff59ae43cc8355d8bf3935c998006e44362d2b0b",
+        "5b35c7292091b01bf0051401f03b328be11b474904601e22c7811f4a525e3720",
+    ),
+    "spot-capacity-crunch": (
+        "4fef8805eba734dc17afd2a7716df903c98b1607b403a7026a4c50940d57063c",
+        "947f7d320da2ff6befe23ead924444974107374b02ddbd792042f3b65c0eb979",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_template_dump_is_pinned(name):
+    spec = load(name)
+    as_json = json.dumps(spec.to_dict(), separators=(",", ":"))
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (as_json, dump_spec_toml(spec))
+    )
+    assert digests == DUMP_PINS[name]
 
 
 @pytest.mark.parametrize("name", NAMES)
