@@ -19,7 +19,7 @@ gradients in shared memory, so workers use real cores in parallel.
 The ``--trace`` file is Chrome trace-event JSON: drag it into
 https://ui.perfetto.dev to see every activation, step, barrier and
 storage request on the simulated timeline.  The lossless dump lands next
-to it at ``<PATH>.jsonl`` for ``python -m repro.trace summary/cost``.
+to it at ``<PATH>.jsonl`` for ``python -m repro trace summary|cost``.
 """
 
 import argparse

@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` — run the sim-lint static analyzer."""
+"""``python -m repro`` — the ``repro`` command (see :mod:`repro.cli`)."""
 
 import sys
 

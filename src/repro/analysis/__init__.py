@@ -10,7 +10,7 @@ docstrings; this package makes violating them a CI failure.
 Two complementary halves:
 
 ``repro.analysis`` (static)
-    A two-phase project analyzer (``python -m repro.analysis``): a
+    A two-phase project analyzer (``repro lint``): a
     *collect* phase parses every file once into a shared
     :class:`~repro.analysis.project.ProjectContext` (import graph,
     symbol tables, machine detection, seed-stream call sites); a *check*

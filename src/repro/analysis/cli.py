@@ -1,14 +1,14 @@
-"""Command-line front end: ``python -m repro.analysis`` / ``repro-lint``.
+"""The ``repro lint`` subcommand: the sim-lint static analyzer's front end.
 
 Examples::
 
-    python -m repro.analysis                        # scan src/repro, text output
-    python -m repro.analysis --json                 # machine-readable report
-    python -m repro.analysis --format github        # PR-diff annotations
-    python -m repro.analysis --format sarif --output sim-lint.sarif
-    python -m repro.analysis --baseline analysis-baseline.json
-    python -m repro.analysis --rules SIM001,EXEC102 src/repro/core
-    python -m repro.analysis --write-baseline analysis-baseline.json
+    repro lint                                      # scan src/repro, text output
+    repro lint --json                               # machine-readable report
+    repro lint --format github                      # PR-diff annotations
+    repro lint --format sarif --output sim-lint.sarif
+    repro lint --baseline analysis-baseline.json
+    repro lint --rules SIM001,EXEC102 src/repro/core
+    repro lint --write-baseline analysis-baseline.json
 
 Exit codes: 0 clean (no non-grandfathered findings), 1 findings, 2 bad
 invocation or unreadable configuration.
@@ -16,24 +16,23 @@ invocation or unreadable configuration.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional
 
+from ..cli import EXIT_FAILED, EXIT_OK, fail, write_text
 from .baseline import load_baseline, split_by_baseline, write_baseline
 from .config import load_config
 from .engine import Finding, analyze_paths
 from .formats import FORMATS, render
 from .rules import ALL_RULES, iter_rule_docs, rule_by_id
 
-__all__ = ["main", "build_parser"]
+__all__ = ["add_parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
+def add_parser(subparsers) -> None:
+    parser = subparsers.add_parser(
+        "lint",
+        help="simulation-purity static analysis (sim-lint)",
         description="Simulation-purity static analysis for the MLLess reproduction.",
     )
     parser.add_argument(
@@ -73,36 +72,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print every rule with its rationale and exit",
     )
-    return parser
+    parser.set_defaults(handler=_cmd_lint)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+def _cmd_lint(args: Any) -> int:
     if args.list_rules:
         for doc in iter_rule_docs():
             print(f"{doc['id']}: {doc['title']}")
             for line in doc["doc"].splitlines():
                 print(f"    {line.rstrip()}")
             print()
-        return 0
+        return EXIT_OK
 
     try:
         rules = _select_rules(args.rules)
     except KeyError as exc:
-        parser.error(str(exc))
+        return fail(exc.args[0])
 
     scan_paths = [Path(p) for p in args.paths]
     missing = [p for p in scan_paths if not p.exists()]
     if missing:
-        print(f"error: no such path: {', '.join(map(str, missing))}", file=sys.stderr)
-        return 2
+        return fail(f"no such path: {', '.join(map(str, missing))}")
 
     config_path = Path(args.config) if args.config else None
     if config_path is not None and not config_path.is_file():
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
-        return 2
+        return fail(f"config file not found: {config_path}")
     config = load_config(pyproject=config_path, start=scan_paths[0])
 
     findings = analyze_paths(scan_paths, config=config, rules=rules)
@@ -110,27 +104,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.write_baseline_path:
         count = write_baseline(findings, Path(args.write_baseline_path))
         print(f"wrote {count} finding(s) to baseline {args.write_baseline_path}")
-        return 0
+        return EXIT_OK
 
     grandfathered: List[Finding] = []
     if args.baseline:
         baseline_path = Path(args.baseline)
         if not baseline_path.is_file():
-            print(f"error: baseline file not found: {baseline_path}", file=sys.stderr)
-            return 2
+            return fail(f"baseline file not found: {baseline_path}")
         try:
             fingerprints = load_baseline(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        except ValueError as exc:
+            return fail(str(exc))
         findings, grandfathered = split_by_baseline(findings, fingerprints)
 
     fmt = args.fmt or ("json" if args.as_json else "text")
     report = render(fmt, findings, grandfathered)
     print(report)
     if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
-    return 1 if findings else 0
+        write_text(args.output, report + "\n")
+    return EXIT_FAILED if findings else EXIT_OK
 
 
 def _select_rules(spec: Optional[str]):

@@ -10,9 +10,9 @@ subsystem that went non-deterministic.
 
 Run it as::
 
-    python -m repro.analysis.determinism --seed 7
-    python -m repro.analysis.determinism --json
-    python -m repro.analysis.determinism --inject-wallclock   # self-test: must FAIL
+    repro determinism --seed 7
+    repro determinism --json
+    repro determinism --inject-wallclock   # self-test: must FAIL
 
 The ``--inject-wallclock`` flag deliberately contaminates the second run
 with a host-clock-derived sample, demonstrating (and testing) that the
@@ -21,12 +21,11 @@ oracle actually catches what it claims to catch.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
+from ..cli import EXIT_FAILED, EXIT_OK, fail
 from ..sim import Monitor, TraceEntry
 
 __all__ = [
@@ -35,7 +34,7 @@ __all__ = [
     "check_determinism",
     "default_run",
     "first_divergence",
-    "main",
+    "add_parser",
 ]
 
 #: a run function: seed -> the traced Monitor of a completed run
@@ -216,9 +215,10 @@ def _wallclock_contaminated(run_fn: RunFn) -> RunFn:
     return contaminated
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.determinism",
+def add_parser(subparsers) -> None:
+    parser = subparsers.add_parser(
+        "determinism",
+        help="run the same seed twice and diff the per-event monitor traces",
         description="Trace-divergence determinism oracle for the simulation stack.",
     )
     parser.add_argument("--seed", type=int, default=0, help="experiment seed (default 0)")
@@ -237,11 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare an untraced run against one with span tracing on "
         "(must produce identical digests)",
     )
-    return parser
+    parser.set_defaults(handler=_cmd_determinism)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def _cmd_determinism(args: Any) -> int:
     run_fn: RunFn = default_run
     if args.inject_wallclock:
         run_fn = _wallclock_contaminated(run_fn)
@@ -253,8 +252,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 seed=args.seed, runs=args.runs, run_fn=run_fn
             )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return fail(str(exc))
     label = "trace-invariance" if args.trace_invariance else "determinism oracle"
     if args.as_json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -270,8 +268,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  run {index}: {digest}")
         if report.divergence is not None:
             print(f"  {report.divergence.describe()}")
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return EXIT_OK if report.ok else EXIT_FAILED

@@ -1,60 +1,24 @@
-"""Host-side benchmark subcommands: DES kernel and execution backends.
+"""The ``repro bench kernel --profile`` breakdown of the DES kernel.
 
-Two entry points behind ``python -m repro.bench``:
-
-``kernel``
-    Runs the ``simkernel`` event-throughput group (the committed
-    before/after pair ``BENCH_kernel_baseline.json`` /
-    ``BENCH_kernel_optimized.json`` gates these ops at >=2x in CI).
-    With ``--profile`` it additionally replays the heaviest op's
-    workload under the kernel's instrumented run loop
-    (:meth:`~repro.sim.core.Environment.enable_profile`) and reports a
-    per-event-type count/time breakdown plus the timeout-delay
-    histogram — the measurements that sized the timer wheel.
-
-``backend``
-    Times the *same* training job on the thread backend and the
-    process backend and reports step throughput for both.  The
-    speedup ratio is only meaningful on multi-core hosts, so the
-    ``--check-ratio`` gate is CPU-aware: it enforces the >=1.5x
-    procs-over-local requirement only when the host has at least
-    ``_RATIO_MIN_CPUS`` cores, and records the host core count in the
-    JSON either way so a single-core CI runner produces honest,
-    ungated numbers.
+Replays the heaviest ``simkernel`` op's workload under the kernel's
+instrumented run loop
+(:meth:`~repro.sim.core.Environment.enable_profile`) and renders the
+per-event-type count/time breakdown plus the timeout-delay histogram —
+the measurements that sized the timer wheel.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
 import time
 from typing import Any, Dict
 
-from .ops import ALL_OPS
-from .runner import run_suite, write_results
+from .ops import _prepare_step_loop, _step_loop_delays
 
-__all__ = ["run_kernel_bench", "run_backend_bench"]
-
-#: the procs-over-local ratio gate only applies on hosts with >= this
-#: many cores — below it the GIL-bound and parallel paths are the same
-_RATIO_MIN_CPUS = 4
-
-#: required procs-over-local step-throughput ratio on multi-core hosts
-_REQUIRED_RATIO = 1.5
+__all__ = ["profile_step_loop", "format_profile"]
 
 
-def _print(msg: str) -> None:
-    print(msg, file=sys.stderr)
-
-
-# -- kernel -----------------------------------------------------------------
-
-
-def _profile_step_loop() -> Dict[str, Any]:
+def profile_step_loop() -> Dict[str, Any]:
     """Replay the step-loop workload under the instrumented kernel loop."""
-    from .ops import _prepare_step_loop, _step_loop_delays
-
     env, _log = _prepare_step_loop(_step_loop_delays())
     env.enable_profile(time.perf_counter_ns)
     env.run()
@@ -78,124 +42,3 @@ def format_profile(report: Dict[str, Any]) -> str:
             f"  [{bucket['ge_s']:g}s, {upper}s)  {bucket['count']:>10}"
         )
     return "\n".join(lines)
-
-
-def run_kernel_bench(
-    name: str = "kernel",
-    out_dir: str = ".",
-    quick: bool = False,
-    profile: bool = False,
-) -> int:
-    """Run the simkernel group; optionally attach the profile breakdown."""
-    only = [op.name for op in ALL_OPS if op.group == "simkernel"]
-    doc = run_suite(ALL_OPS, name=name, quick=quick, only=only, progress=_print)
-    if profile:
-        report = _profile_step_loop()
-        doc["profile"] = report
-        print(format_profile(report))
-    path = write_results(doc, out_dir)
-    for entry in doc["ops"]:
-        print(
-            f"  {entry['p50_ns'] / 1e6:10.3f} ms p50  "
-            f"{entry['p95_ns'] / 1e6:10.3f} ms p95  "
-            f"{entry['p99_ns'] / 1e6:10.3f} ms p99  {entry['op']}"
-        )
-    print(f"wrote {path}")
-    return 0
-
-
-# -- backend ----------------------------------------------------------------
-
-
-def _time_backend(backend: str, config: Any) -> Dict[str, Any]:
-    """Run one job on a backend; returns throughput facts."""
-    from ..experiments.common import run_mlless
-
-    result = run_mlless(config, backend=backend)
-    exec_time = max(result.exec_time, 1e-9)
-    return {
-        "backend": backend,
-        "steps": result.total_steps,
-        "exec_time_s": exec_time,
-        "steps_per_s": result.total_steps / exec_time,
-        "final_loss": result.final_loss,
-    }
-
-
-def run_backend_bench(
-    name: str = "backend",
-    out_dir: str = ".",
-    workers: int = 4,
-    max_steps: int = 25,
-    workload: str = "pmf-ml10m",
-    check_ratio: bool = False,
-) -> int:
-    """Local-vs-procs step throughput on one training job.
-
-    Writes ``BENCH_<name>.json`` with a ``backend`` section (both
-    runs, the ratio, and the host core count).  ``check_ratio``
-    enforces the >=1.5x procs-over-local gate — but only on hosts with
-    at least :data:`_RATIO_MIN_CPUS` cores, where parallelism can
-    exist; elsewhere the numbers are recorded and the gate reports
-    itself skipped.
-    """
-    from ..experiments.common import mlless_config
-    from ..experiments.settings import make_workload
-
-    config_kwargs = dict(
-        n_workers=workers, target_loss=None, max_steps=max_steps
-    )
-    cpus = os.cpu_count() or 1
-    _print(f"backend bench: {workload}, {workers} workers, "
-           f"{max_steps} steps, host has {cpus} cpu(s)")
-
-    runs = []
-    for backend in ("local", "procs"):
-        _print(f"  running {backend} ...")
-        wl = make_workload(workload)
-        runs.append(_time_backend(backend, mlless_config(wl, **config_kwargs)))
-
-    local, procs = runs
-    ratio = procs["steps_per_s"] / max(local["steps_per_s"], 1e-12)
-    doc = {
-        "schema_version": 1,
-        "name": name,
-        "host_cpus": cpus,
-        "workload": workload,
-        "workers": workers,
-        "backend": {
-            "runs": runs,
-            "procs_over_local": ratio,
-            "ratio_gate_cpus": _RATIO_MIN_CPUS,
-            "required_ratio": _REQUIRED_RATIO,
-            "ratio_gated": cpus >= _RATIO_MIN_CPUS,
-        },
-    }
-    path = os.path.join(out_dir, f"BENCH_{name}.json")
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    for run in runs:
-        print(
-            f"  {run['backend']:<6} {run['steps_per_s']:8.2f} steps/s "
-            f"({run['steps']} steps in {run['exec_time_s']:.2f}s)"
-        )
-    print(f"  procs/local ratio: {ratio:.2f}x")
-    print(f"wrote {path}")
-
-    if check_ratio:
-        if cpus < _RATIO_MIN_CPUS:
-            print(
-                f"ratio gate SKIPPED: host has {cpus} cpu(s) < "
-                f"{_RATIO_MIN_CPUS} — parallel speedup is not measurable here"
-            )
-            return 0
-        if ratio < _REQUIRED_RATIO:
-            print(
-                f"FAIL: procs/local ratio {ratio:.2f}x below required "
-                f"{_REQUIRED_RATIO}x on a {cpus}-cpu host"
-            )
-            return 1
-        print(f"PASS: procs/local ratio {ratio:.2f}x >= {_REQUIRED_RATIO}x")
-    return 0

@@ -1,7 +1,6 @@
 """The registered microbenchmark ops.
 
-Groups (see :data:`repro.bench.runner.GATED_GROUPS` for which are held
-to the compare gate's minimum speedup):
+Groups:
 
 ``kernel``
     The per-step sparse kernels: ``matvec``, ``rmatvec_on_support``,
@@ -28,22 +27,12 @@ to the compare gate's minimum speedup):
     Delay lists are precomputed in ``make_state`` so the timed region
     is kernel work, and every op appends small-int markers to a shared
     log whose hash is the checksum — any delivery-order drift between
-    kernels changes it.  Gated: the timer-wheel kernel must beat the
-    committed ``BENCH_kernel_baseline.json`` (captured on the
-    pre-wheel heapq kernel) by the compare gate's minimum speedup.
-``backend``
-    Execution-backend step throughput (local threads vs procs).  Not
-    gated by ``--compare`` — the procs-vs-local ratio gate is cpu-aware
-    and lives in ``python -m repro.bench backend --check-ratio``.
+    kernels changes it.
 ``pipeline``
     Pipeline-parallel stage primitives: a middle stage's forward and
     backward slices plus the micro-batch split at the injection
     boundary.  Informational (dense GEMMs, so timings track BLAS);
     the checksums pin the stage math bit-for-bit.
-``e2e``
-    One small end-to-end MLLess job (the determinism oracle's default
-    run); its checksum is the monitor trace digest, so a hot-path
-    regression that changes convergence is caught right here.
 """
 
 from __future__ import annotations
@@ -308,14 +297,8 @@ def _run_mixed_horizon(_state, payload):
     return (env.now, log)
 
 
-def _run_e2e(_state, _payload):
-    from ..analysis.determinism import default_run
-
-    return default_run(0)
-
-
 def _build_ops() -> List[BenchOp]:
-    ops = [
+    return [
         BenchOp(
             name="kernel.matvec",
             group="kernel",
@@ -359,6 +342,15 @@ def _build_ops() -> List[BenchOp]:
             run=lambda s, dense: (s[0].apply_to(dense), dense)[1],
             checksum=_array,
             note="np.add.at path (the production scatter)",
+        ),
+        BenchOp(
+            name="scatter.apply_fancy",
+            group="scatter",
+            make_state=workloads.scatter_state,
+            prepare=lambda s: s[1].copy(),
+            run=lambda s, dense: (s[0]._apply_fancy(dense), dense)[1],
+            checksum=_array,
+            note="fancy-index += variant (valid for sorted-unique deltas)",
         ),
         BenchOp(
             name="core.peer_apply_8",
@@ -447,30 +439,7 @@ def _build_ops() -> List[BenchOp]:
             checksum=_simlog,
             note="4k short-horizon pollers + 1k far stragglers (re-anchor path)",
         ),
-        BenchOp(
-            name="e2e.quickstart_pmf",
-            group="e2e",
-            make_state=lambda: None,
-            run=_run_e2e,
-            checksum=lambda monitor: monitor.trace_digest(),
-            portable=False,
-            note="checksum is the monitor trace digest (SIMD-dependent)",
-        ),
     ]
-    if hasattr(SparseDelta, "_apply_fancy"):
-        ops.insert(
-            6,
-            BenchOp(
-                name="scatter.apply_fancy",
-                group="scatter",
-                make_state=workloads.scatter_state,
-                prepare=lambda s: s[1].copy(),
-                run=lambda s, dense: (s[0]._apply_fancy(dense), dense)[1],
-                checksum=_array,
-                note="fancy-index += variant (valid for sorted-unique deltas)",
-            ),
-        )
-    return ops
 
 
 ALL_OPS: List[BenchOp] = _build_ops()

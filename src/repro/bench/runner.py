@@ -8,31 +8,29 @@ few untimed warmup repetitions, then times ``reps`` calls of ``run``
 with ``time.perf_counter_ns``.  Ops that mutate their input get a fresh
 per-rep payload from ``prepare`` *outside* the timed region, so the
 numbers measure the kernel, not the copy.  The report records p50/p95
-wall-nanoseconds **and a sha256 checksum of the final output**, so an
-"optimization" that changes results cannot silently pass — the compare
-mode refuses speedups whose checksums drifted.
+wall-nanoseconds **and a sha256 checksum of the final output**, so a
+change that alters results cannot silently pass — :func:`compare`
+fails on any checksum that drifted from the reference document.
 
 ``portable`` marks ops whose checksum is expected to be bit-stable
 across machines (integer manipulation, sequential float accumulation).
-Ops built on SIMD-reassociated reductions (the end-to-end run's einsum)
-are non-portable: their checksum is only comparable on one machine, and
+Ops built on BLAS GEMMs (the pipeline stage slices) are non-portable:
+their checksum is only comparable on one machine, and
 ``compare(..., portable_only=True)`` skips them (what CI does when
-checking a runner's output against the committed baseline).
+checking a runner's output against the committed ``BENCH_reference.json``).
 
-Results are written as ``BENCH_<name>.json``; ``compare`` diffs two such
-documents and enforces the checksum and minimum-speedup gates.
+Timings are informational: the timing authority is ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import platform
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +40,6 @@ __all__ = [
     "checksum_bytes",
     "compare",
     "run_suite",
-    "write_results",
 ]
 
 #: bump when the JSON layout changes incompatibly
@@ -56,9 +53,7 @@ _FULL_REPS = {
     "core": (20, 2),
     "sim": (10, 1),
     "simkernel": (10, 2),
-    "backend": (3, 1),
     "pipeline": (20, 2),
-    "e2e": (2, 1),
     "platform": (3, 1),
 }
 _QUICK_REPS = {
@@ -68,18 +63,9 @@ _QUICK_REPS = {
     "core": (5, 1),
     "sim": (3, 1),
     "simkernel": (3, 1),
-    "backend": (1, 0),
     "pipeline": (5, 1),
-    "e2e": (1, 0),
     "platform": (2, 0),
 }
-
-#: groups the compare gate holds to the minimum speedup (the tentpole's
-#: measurable promise); the rest are tracked informationally.
-#: ``simkernel`` is the DES-kernel event-throughput group: its gate runs
-#: against the committed BENCH_kernel_baseline.json (captured on the
-#: pre-timer-wheel kernel), not against BENCH_baseline.json.
-GATED_GROUPS = ("kernel", "merge", "simkernel")
 
 
 @dataclass(frozen=True)
@@ -185,40 +171,25 @@ def run_suite(
     }
 
 
-def write_results(doc: Dict[str, Any], out_dir: str) -> str:
-    """Write ``BENCH_<name>.json`` under ``out_dir``; returns the path."""
-    import os
-
-    path = os.path.join(out_dir, f"BENCH_{doc['name']}.json")
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 @dataclass
 class CompareResult:
-    """Outcome of diffing two benchmark documents."""
+    """Outcome of diffing a new benchmark document against a reference."""
 
     ok: bool
     lines: List[str] = field(default_factory=list)
-    #: op -> (baseline_p50_ns, new_p50_ns, speedup)
-    speedups: Dict[str, Tuple[int, int, float]] = field(default_factory=dict)
 
 
 def compare(
     baseline: Dict[str, Any],
     new: Dict[str, Any],
-    min_speedup: float = 0.0,
-    gated_groups: Sequence[str] = GATED_GROUPS,
     portable_only: bool = False,
 ) -> CompareResult:
-    """Diff two result documents: checksums must match, gates must hold.
+    """Diff two result documents: every baseline op must reappear unchanged.
 
-    Checksum equality is enforced for every op present in both documents
-    (restricted to portable ops when ``portable_only`` — the
-    cross-machine CI mode).  When ``min_speedup`` > 0, every op in a
-    gated group must be at least that much faster (p50) in ``new``.
+    An op of ``baseline`` that ``new`` lacks fails, as does one whose
+    checksum differs (restricted to portable ops when ``portable_only``
+    — the cross-machine CI mode).  The p50 speedup is printed per op
+    for information only.
     """
     result = CompareResult(ok=True)
     base_ops = {entry["op"]: entry for entry in baseline["ops"]}
@@ -226,7 +197,8 @@ def compare(
     for op_name, base in base_ops.items():
         entry = new_ops.get(op_name)
         if entry is None:
-            result.lines.append(f"warn: {op_name}: missing from new results")
+            result.ok = False
+            result.lines.append(f"FAIL: {op_name}: missing from new results")
             continue
         both_portable = base["portable_checksum"] and entry["portable_checksum"]
         if portable_only and not both_portable:
@@ -239,14 +211,7 @@ def compare(
                 "the optimization changed numeric results"
             )
         speedup = base["p50_ns"] / max(entry["p50_ns"], 1)
-        result.speedups[op_name] = (base["p50_ns"], entry["p50_ns"], speedup)
-        gated = entry["group"] in gated_groups and min_speedup > 0
-        verdict = f"{speedup:6.2f}x  {op_name} ({entry['group']})"
-        if gated and speedup < min_speedup:
-            result.ok = False
-            result.lines.append(f"FAIL: {verdict} — below required {min_speedup}x")
-        else:
-            result.lines.append(f"ok:   {verdict}")
+        result.lines.append(f"ok:   {speedup:6.2f}x  {op_name} ({entry['group']})")
     for op_name in new_ops:
         if op_name not in base_ops:
             result.lines.append(f"note: {op_name}: new op (no baseline)")

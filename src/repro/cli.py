@@ -1,17 +1,35 @@
-"""Command-line entry point: run any workload on any system.
+"""The one command line: ``repro <subcommand>`` / ``python -m repro <subcommand>``.
 
-Examples::
+::
 
-    python -m repro.cli --workload pmf-ml10m --system mlless --v 0.7
-    python -m repro.cli --workload lr-criteo --system mlless --autotune
-    python -m repro.cli --workload pmf-ml20m --system serverful --workers 12
-    python -m repro.cli --list
+    repro run --workload pmf-ml10m --system mlless --v 0.7
+    repro run --list
+    repro scenario list | validate <name-or-file> | run <name-or-file>
+    repro trace summary | cost | chrome <RUN.trace.json.jsonl>
+    repro lint [paths] [--baseline analysis-baseline.json]
+    repro determinism [--trace-invariance]
+    repro bench list | run | kernel | platform | compare <BASELINE> <NEW>
+
+This module builds the only parser and owns what every subcommand
+shares: the exit codes, :func:`fail`, the file reader/writers and the
+``BrokenPipeError`` guard.  Each package's host-I/O module
+(:mod:`repro.scenarios.cli`, :mod:`repro.trace_cli`,
+:mod:`repro.analysis.cli`, :mod:`repro.analysis.determinism`,
+:mod:`repro.bench.cli`) contributes ``add_parser(subparsers)`` and the
+handlers behind it; ``run`` lives here.
+
+Exit codes: 0 ok; 1 a check failed (findings, divergence, checksum
+drift, reconciliation); 2 usage error or unreadable input; 3 budget
+violation; 4 digest instability under ``scenario run --rerun-check``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
+from typing import Any, Optional, Sequence
 
 from .experiments.common import (
     mlless_config,
@@ -23,12 +41,94 @@ from .experiments.report import fault_summary_rows, render_table
 from .experiments.settings import WORKLOADS, make_workload
 from .faults import FAULT_PROFILES
 
-__all__ = ["main", "build_parser"]
+__all__ = [
+    "EXIT_OK",
+    "EXIT_FAILED",
+    "EXIT_USAGE",
+    "EXIT_BUDGET",
+    "EXIT_UNSTABLE",
+    "build_parser",
+    "fail",
+    "main",
+    "read_json",
+    "write_json",
+    "write_text",
+]
+
+EXIT_OK = 0
+EXIT_FAILED = 1
+EXIT_USAGE = 2
+EXIT_BUDGET = 3
+EXIT_UNSTABLE = 4
+
+
+def fail(message: str) -> int:
+    """Report a usage or input error as one ``error:`` line; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def write_text(path: Any, text: str) -> None:
+    """Write ``text`` to ``path``, creating its parent directories first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def write_json(path: Any, doc: Any) -> None:
+    """Write ``doc`` as indented, key-sorted JSON (the report format)."""
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path: Any) -> Any:
+    """Parse the JSON file at ``path`` (``OSError``/``ValueError`` on failure)."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here, not at the top: these modules import the helpers above.
+    from . import trace_cli
+    from .analysis import cli as lint_cli
+    from .analysis import determinism
+    from .bench import cli as bench_cli
+    from .scenarios import cli as scenario_cli
+
     parser = argparse.ArgumentParser(
         prog="repro",
+        description="MLLess reproduction: run training jobs and scenarios, "
+        "read traces, and check the code base.",
+    )
+    subparsers = parser.add_subparsers(required=True, metavar="<command>")
+    _add_run_parser(subparsers)
+    scenario_cli.add_parser(subparsers)
+    trace_cli.add_parser(subparsers)
+    lint_cli.add_parser(subparsers)
+    determinism.add_parser(subparsers)
+    bench_cli.add_parser(subparsers)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except BrokenPipeError:
+        # `repro scenario list | head` closes our stdout early; that is
+        # the reader's choice, not an error worth a traceback.
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        return EXIT_OK
+
+
+# -- repro run ----------------------------------------------------------
+
+
+def _add_run_parser(subparsers) -> None:
+    parser = subparsers.add_parser(
+        "run",
+        help="run one training job: any workload on any system",
         description="Run an MLLess-reproduction training job.",
     )
     parser.add_argument(
@@ -68,23 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--list", action="store_true",
                         help="list workloads and exit")
-    parser.epilog = (
-        "Declarative scenarios: `repro scenario list|validate|run ...` "
-        "forwards to python -m repro.scenarios."
-    )
-    return parser
+    parser.set_defaults(handler=_cmd_run)
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "scenario":
-        # Declarative scenario engine: `repro scenario run <name>` etc.
-        # (same forwarding pattern as `repro.bench platform`).
-        from .scenarios.cli import main as scenario_main
-
-        return scenario_main(argv[1:])
-    args = build_parser().parse_args(argv)
-
+def _cmd_run(args: argparse.Namespace) -> int:
     if args.list:
         rows = []
         for name in sorted(WORKLOADS):
@@ -100,7 +187,7 @@ def main(argv=None) -> int:
                 }
             )
         print(render_table(rows, "available workloads"))
-        return 0
+        return EXIT_OK
 
     workload = make_workload(args.workload)
     target = args.target
@@ -112,49 +199,43 @@ def main(argv=None) -> int:
         f"(P={args.workers}, target {workload.metric}={target})..."
     )
     profile = None if args.faults == "off" else FAULT_PROFILES[args.faults]
-    if profile is not None and args.system != "mlless":
-        print("--faults is only supported with --system mlless", file=sys.stderr)
-        return 2
-    if args.trace is not None and args.system != "mlless":
-        print("--trace is only supported with --system mlless", file=sys.stderr)
-        return 2
-    if args.backend in ("local", "procs"):
-        if args.system != "mlless":
-            print(f"--backend {args.backend} is only supported with "
-                  "--system mlless", file=sys.stderr)
-            return 2
-        if profile is not None:
-            print(f"--backend {args.backend} cannot inject faults "
-                  "(use the sim backend)", file=sys.stderr)
-            return 2
-        if args.trace is not None:
-            print(f"--backend {args.backend} does not support --trace",
-                  file=sys.stderr)
-            return 2
+    # --system is a CLI-only concept, so its refusals live here; what a
+    # backend cannot do is refused by the backend (ValueError below).
+    if args.system != "mlless":
+        for flag, given in (
+            ("--faults", profile is not None),
+            ("--trace", args.trace is not None),
+            (f"--backend {args.backend}", args.backend != "sim"),
+        ):
+            if given:
+                return fail(f"{flag} is only supported with --system mlless")
 
     tracer = None
-    if args.system == "mlless":
-        config = mlless_config(
-            workload, n_workers=args.workers, v=args.v,
-            autotune=args.autotune, target_loss=target,
-            max_steps=args.max_steps, seed=args.seed,
-            faults=profile,
-        )
-        if args.trace is not None:
-            from .trace import Tracer
+    try:
+        if args.system == "mlless":
+            config = mlless_config(
+                workload, n_workers=args.workers, v=args.v,
+                autotune=args.autotune, target_loss=target,
+                max_steps=args.max_steps, seed=args.seed,
+                faults=profile,
+            )
+            if args.trace is not None:
+                from .trace import Tracer
 
-            tracer = Tracer()
-        result = run_mlless(config, tracer=tracer, backend=args.backend)
-    elif args.system == "serverful":
-        result = run_serverful_workload(
-            workload, args.workers, target_loss=target,
-            max_steps=args.max_steps, seed=args.seed,
-        )
-    else:
-        result = run_pywren_workload(
-            workload, args.workers, target_loss=target,
-            max_steps=min(args.max_steps, 60), seed=args.seed,
-        )
+                tracer = Tracer()
+            result = run_mlless(config, tracer=tracer, backend=args.backend)
+        elif args.system == "serverful":
+            result = run_serverful_workload(
+                workload, args.workers, target_loss=target,
+                max_steps=args.max_steps, seed=args.seed,
+            )
+        else:
+            result = run_pywren_workload(
+                workload, args.workers, target_loss=target,
+                max_steps=min(args.max_steps, 60), seed=args.seed,
+            )
+    except ValueError as exc:
+        return fail(str(exc))
 
     print(render_table([result.summary()], "result"))
     if args.backend in ("local", "procs"):
@@ -182,8 +263,4 @@ def main(argv=None) -> int:
         )
         print(f"trace written to {chrome_path} "
               f"(open in https://ui.perfetto.dev); JSONL at {jsonl_path}")
-    return 0 if result.converged or result.total_steps > 0 else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return EXIT_OK if result.converged or result.total_steps > 0 else EXIT_FAILED

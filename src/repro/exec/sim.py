@@ -16,7 +16,7 @@ DES events directly:
 
 so the kernel observes the same events, in the same order, drawn from
 the same RNG streams, at the same simulated times.  The determinism
-oracle (``python -m repro.analysis.determinism``) and the pinned-digest
+oracle (``repro determinism``) and the pinned-digest
 regression tests in ``tests/exec/`` enforce this.
 
 Exceptions keep their old semantics too: a failure raised by a service

@@ -1,10 +1,10 @@
 """The platform-scale benchmark: jobs/hour, p95 queue wait, cost/job.
 
-Unlike the kernel microbenchmarks (``repro.bench.ops``), the unit of
-work here is a whole multi-tenant scenario: hundreds of jobs from
-dozens of tenants through the queue, the fair-share scheduler, the
-shared pool and the invoicing pipeline.  Two ops are timed and
-checksummed:
+Run as ``repro bench platform``.  Unlike the kernel microbenchmarks
+(``repro.bench.ops``), the unit of work here is a whole multi-tenant
+scenario: hundreds of jobs from dozens of tenants through the queue,
+the fair-share scheduler, the shared pool and the invoicing pipeline.
+Two ops are timed and checksummed:
 
 * ``platform.shared_diurnal`` — the shared multi-tenant platform under
   the default diurnal/bursty traffic;
@@ -16,8 +16,7 @@ every reported metric (``float.hex`` encoded), so CI's committed
 baseline catches any scheduling, billing, or RNG drift, not just a
 changed headline number.  The checksums are portable: the simulation is
 scalar sequential float math plus numpy ``Generator`` draws, both
-bit-stable across the CPython/numpy builds CI runs (the repo's only
-non-portable op is the SIMD-reassociated e2e einsum).
+bit-stable across the CPython/numpy builds CI runs.
 
 ``--quick`` cuts timing repetitions only — never the scenario size — so
 quick-mode checksums compare against a full-mode baseline.
@@ -87,8 +86,8 @@ def run_platform_suite(
 ) -> Dict[str, Any]:
     """Run the platform benchmark into a ``BENCH_<name>.json`` document.
 
-    The document is the standard bench schema (so ``python -m repro.bench
-    --compare`` works on it unchanged) plus a ``platform`` section with
+    The document is the standard bench schema (so ``repro bench
+    compare`` works on it unchanged) plus a ``platform`` section with
     the scenario config, the determinism digest, and the headline
     metrics — including the shared-vs-isolated cost comparison.
     """

@@ -14,9 +14,9 @@ are regression-gated like benchmarks.
 
 Quickstart::
 
-    python -m repro.scenarios list
-    python -m repro.scenarios run fault-storm --report out.json
-    python -m repro.cli scenario run diurnal-multi-tenant
+    repro scenario list
+    repro scenario run fault-storm --report out.json
+    repro scenario run diurnal-multi-tenant
 
 Everything except :mod:`repro.scenarios.cli` is pure (no host I/O, no
 wall clock) and registered as a sim-lint simulated layer.

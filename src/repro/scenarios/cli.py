@@ -1,4 +1,4 @@
-"""``python -m repro.scenarios`` — list, validate and run scenarios.
+"""The ``repro scenario`` subcommands: list, validate and run scenarios.
 
 This is the package's host-I/O module (the ``trace_cli`` split): it
 reads template/spec files, writes KPI reports, and prints — everything
@@ -6,35 +6,37 @@ the pure spec/compiler layers are forbidden to do.
 
 Subcommands::
 
-    python -m repro.scenarios list
-    python -m repro.scenarios validate fault-storm
-    python -m repro.scenarios validate path/to/my_scenario.toml
-    python -m repro.scenarios run fault-storm --report out.json
-    python -m repro.scenarios run rightsize-sweep --seed 7
-    python -m repro.scenarios run diurnal-multi-tenant --rerun-check
+    repro scenario list
+    repro scenario validate fault-storm
+    repro scenario validate path/to/my_scenario.toml
+    repro scenario run fault-storm --report out.json
+    repro scenario run rightsize-sweep --seed 7
+    repro scenario run diurnal-multi-tenant --rerun-check
 
-(also reachable as ``repro.cli scenario ...``, matching the
-``repro.bench platform`` forwarding pattern).
-
-Exit codes: 0 success; 2 spec/usage error; 3 budget violation;
-4 digest instability under ``--rerun-check``.
+Exit codes: 0 success; 1 reconciliation failure; 2 spec/usage error;
+3 budget violation; 4 digest instability under ``--rerun-check``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Tuple
 
+from ..cli import (
+    EXIT_BUDGET,
+    EXIT_FAILED,
+    EXIT_OK,
+    EXIT_UNSTABLE,
+    fail,
+    write_json,
+)
 from .compiler import run_scenario_spec
 from .kpi import ReconciliationError, summary_lines
 from .loader import load_spec_text
 from .spec import ScenarioSpec, SpecError
 
-__all__ = ["build_parser", "main", "template_dir", "list_templates",
-           "load_template"]
+__all__ = ["add_parser", "template_dir", "list_templates", "load_template"]
 
 
 def template_dir() -> Path:
@@ -70,21 +72,24 @@ def load_template(ref: str) -> ScenarioSpec:
     return load_spec_text(path.read_text(encoding="utf-8"), origin=path.name)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.scenarios",
+def add_parser(subparsers) -> None:
+    parser = subparsers.add_parser(
+        "scenario",
+        help="list, validate and run declarative scenarios",
         description="Declarative scenario engine: run replayable "
         "workload/backend/fault/traffic/pricing scenarios from TOML or "
         "JSON specs and emit digest-gated KPI reports.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True, metavar="<command>")
 
-    sub.add_parser("list", help="list the committed scenario templates")
+    p_list = sub.add_parser("list", help="list the committed scenario templates")
+    p_list.set_defaults(handler=_reporting_spec_errors(_cmd_list))
 
     validate = sub.add_parser(
         "validate", help="parse and validate a spec without running it"
     )
     validate.add_argument("scenario", help="template name or spec file path")
+    validate.set_defaults(handler=_reporting_spec_errors(_cmd_validate))
 
     run = sub.add_parser("run", help="run a scenario end-to-end")
     run.add_argument("scenario", help="template name or spec file path")
@@ -102,10 +107,25 @@ def build_parser() -> argparse.ArgumentParser:
         "digests match — the determinism gate CI applies to every "
         "committed template",
     )
-    return parser
+    run.set_defaults(handler=_reporting_spec_errors(_cmd_run))
 
 
-def _cmd_list() -> int:
+def _reporting_spec_errors(command: Callable[[Any], int]) -> Callable[[Any], int]:
+    """Handler that maps the engine's two refusals onto exit codes."""
+
+    def handler(args: Any) -> int:
+        try:
+            return command(args)
+        except SpecError as exc:
+            return fail(str(exc))
+        except ReconciliationError as exc:
+            print(f"reconciliation failure: {exc}", file=sys.stderr)
+            return EXIT_FAILED
+
+    return handler
+
+
+def _cmd_list(args: Any) -> int:
     rows = []
     for name, path in list_templates():
         try:
@@ -117,36 +137,34 @@ def _cmd_list() -> int:
         rows.append((name, spec.kind, spec.description or "-"))
     if not rows:
         print("no committed templates found")
-        return 0
+        return EXIT_OK
     width = max(len(name) for name, _, _ in rows)
     kind_width = max(len(kind) for _, kind, _ in rows)
     for name, kind, description in rows:
         print(f"{name:<{width}}  {kind:<{kind_width}}  {description}")
-    return 0
+    return EXIT_OK
 
 
-def _cmd_validate(ref: str) -> int:
-    spec = load_template(ref)
+def _cmd_validate(args: Any) -> int:
+    spec = load_template(args.scenario)
     sections = [key for key, value in spec.to_dict().items() if value]
     print(
         f"OK: {spec.name} [{spec.kind}] seed={spec.seed} "
         f"sections: {', '.join(sections)}"
     )
-    return 0
+    return EXIT_OK
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: Any) -> int:
     spec = load_template(args.scenario)
     progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     payload = run_scenario_spec(spec, seed=args.seed, progress=progress)
     if args.rerun_check:
         if not payload["deterministic"]:
-            print(
-                f"error: --rerun-check needs a deterministic scenario; "
-                f"{spec.name!r} runs on a wall-clock backend",
-                file=sys.stderr,
+            return fail(
+                f"--rerun-check needs a deterministic scenario; "
+                f"{spec.name!r} runs on a wall-clock backend"
             )
-            return 2
         again = run_scenario_spec(spec, seed=args.seed, progress=progress)
         if again["digest"] != payload["digest"]:
             print(
@@ -154,45 +172,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "— the scenario is not seed-deterministic",
                 file=sys.stderr,
             )
-            return 4
+            return EXIT_UNSTABLE
         print(f"digest stable across reruns: {payload['digest'][:16]}")
     for line in summary_lines(payload):
         print(line)
     if args.report is not None:
         report_path = Path(args.report)
-        if report_path.parent and not report_path.parent.exists():
-            report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(report_path, payload)
         print(f"report written to {report_path}")
-    return 0 if payload["budget"]["ok"] else 3
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "validate":
-            return _cmd_validate(args.scenario)
-        return _cmd_run(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ReconciliationError as exc:
-        print(f"reconciliation failure: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # `repro scenario list | head` closes our stdout early; that is
-        # the reader's choice, not an error worth a traceback.
-        try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            pass
-        return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return EXIT_OK if payload["budget"]["ok"] else EXIT_BUDGET

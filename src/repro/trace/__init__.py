@@ -4,13 +4,13 @@ Span tracing (:mod:`~repro.trace.tracer`), cost attribution against the
 FaaS bill (:mod:`~repro.trace.ledger`), per-step critical-path and
 straggler analysis (:mod:`~repro.trace.critical`), and pure exporters
 (:mod:`~repro.trace.export`).  File writing and the CLI live in
-:mod:`repro.trace_cli`; run ``python -m repro.trace`` (or ``repro-trace``)
-on a saved ``.jsonl`` trace.
+:mod:`repro.trace_cli`; run ``repro trace summary|cost|chrome`` on a
+saved ``.jsonl`` trace.
 
 Invariant: enabling tracing never changes the simulation — the tracer
 only reads ``env.now``/``env.active_process``, so a traced run's
 determinism digest is bit-identical to an untraced one (enforced by
-``python -m repro.analysis.determinism --trace-invariance``).
+``repro determinism --trace-invariance``).
 """
 
 from .tracer import (

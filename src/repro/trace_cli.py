@@ -1,18 +1,16 @@
-"""Host-side trace tooling: file writers and the ``repro-trace`` CLI.
+"""Host-side trace tooling: file writers and the ``repro trace`` subcommands.
 
 Lives outside the simulated layers (like :mod:`repro.cli`) because it
 opens files and prints; everything it calls in :mod:`repro.trace` is pure.
 
 Usage::
 
-    repro-trace summary  RUN.trace.json.jsonl         # text report
-    repro-trace cost     RUN.trace.json.jsonl         # cost attribution
-    repro-trace chrome   RUN.trace.json.jsonl -o t.json   # re-export
-
-    python -m repro.trace <same arguments>
+    repro trace summary  RUN.trace.json.jsonl         # text report
+    repro trace cost     RUN.trace.json.jsonl         # cost attribution
+    repro trace chrome   RUN.trace.json.jsonl -o t.json   # re-export
 
 Traces are produced by the ``--trace PATH`` option of
-``examples/quickstart.py``, ``python -m repro.cli`` and the fig scripts:
+``examples/quickstart.py``, ``repro run`` and the fig scripts:
 PATH receives the Chrome trace-event JSON (drag into
 https://ui.perfetto.dev) and ``PATH.jsonl`` the lossless dump these
 subcommands read.
@@ -20,12 +18,10 @@ subcommands read.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import sys
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Callable, Tuple
 
+from .cli import EXIT_OK, fail, write_text
 from .experiments.report import render_table
 from .trace import (
     CostLedger,
@@ -38,7 +34,7 @@ from .trace import (
 )
 
 __all__ = [
-    "main",
+    "add_parser",
     "write_chrome_trace",
     "write_jsonl",
     "write_run_trace",
@@ -49,28 +45,17 @@ __all__ = [
 # -- file writers -------------------------------------------------------
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
 def write_chrome_trace(trace: Any, path: str) -> str:
     """Write the Chrome trace-event JSON for ``trace`` to ``path``."""
-    _ensure_parent(path)
-    with open(path, "w") as fh:
-        json.dump(chrome_trace(trace), fh)
-        fh.write("\n")
+    write_text(path, json.dumps(chrome_trace(trace)) + "\n")
     return path
 
 
 def write_jsonl(trace: Any, path: str, billing: Any = None) -> str:
     """Write the lossless JSONL dump (spans, events, billing records)."""
-    _ensure_parent(path)
-    with open(path, "w") as fh:
-        for line in to_jsonl_lines(trace, billing=billing):
-            fh.write(line)
-            fh.write("\n")
+    write_text(
+        path, "".join(f"{line}\n" for line in to_jsonl_lines(trace, billing=billing))
+    )
     return path
 
 
@@ -116,24 +101,21 @@ def summary_text(trace: Any, billing: Any = None, max_steps: int = 12) -> str:
     return "\n\n".join(sections)
 
 
-# -- CLI ----------------------------------------------------------------
+# -- subcommands --------------------------------------------------------
 
 
-def _load(path: str) -> TraceData:
-    with open(path) as fh:
-        return parse_jsonl(fh)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-trace",
+def add_parser(subparsers) -> None:
+    parser = subparsers.add_parser(
+        "trace",
+        help="analyse and convert saved simulation traces (.jsonl)",
         description="Analyse and convert saved simulation traces (.jsonl).",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(required=True, metavar="<command>")
     p_summary = sub.add_parser(
         "summary", help="text report: cost breakdown, critical path, stragglers"
     )
     p_summary.add_argument("trace", help="JSONL trace file (PATH.jsonl of --trace PATH)")
+    p_summary.set_defaults(handler=_on_trace(_cmd_summary))
     p_cost = sub.add_parser("cost", help="cost-attribution ledger tables")
     p_cost.add_argument("trace")
     p_cost.add_argument(
@@ -142,72 +124,68 @@ def build_parser() -> argparse.ArgumentParser:
         default="category",
         help="grouping dimension (default: category)",
     )
+    p_cost.set_defaults(handler=_on_trace(_cmd_cost))
     p_chrome = sub.add_parser(
         "chrome", help="re-export as Chrome trace-event JSON (Perfetto)"
     )
     p_chrome.add_argument("trace")
     p_chrome.add_argument("-o", "--output", required=True, metavar="PATH")
-    return parser
+    p_chrome.set_defaults(handler=_on_trace(_cmd_chrome))
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
-    try:
-        data = _load(args.trace)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
-        return 2
+def _on_trace(command: Callable[[Any, TraceData], int]) -> Callable[[Any], int]:
+    """Handler that loads ``args.trace`` and hands it to ``command``."""
 
-    if args.command == "summary":
-        billing = data.billing if data.records else None
-        print(summary_text(data, billing=billing))
-        return 0
-    if args.command == "cost":
-        if not data.records:
-            print(
-                "error: trace has no billing records; re-run the experiment "
-                "with --trace to embed them",
-                file=sys.stderr,
-            )
-            return 2
-        ledger = CostLedger.from_trace(data, data.billing)
-        grouped = {
-            "category": ledger.by_category,
-            "phase": ledger.by_phase,
-            "worker": ledger.by_worker,
-            "function": ledger.by_function,
-        }[args.by]()
-        rows = [
-            {
-                args.by: key,
-                "seconds": round(grouped[key]["seconds"], 4),
-                "gb_s": round(grouped[key]["gb_s"], 4),
-                "cost_usd": round(grouped[key]["cost"], 8),
-            }
-            for key in sorted(grouped, key=lambda k: (-grouped[k]["cost"], str(k)))
-        ]
-        print(render_table(rows, f"cost attribution by {args.by}"))
-        rec = ledger.reconcile()
-        print(
-            f"\nbill total: ${rec['billing_total_cost']:.6f}  "
-            f"attributed: {100 * rec['attributed_fraction']:.2f}% of GB-s  "
-            f"(row-sum error {rec['abs_error']:.2e})"
+    def handler(args: Any) -> int:
+        try:
+            with open(args.trace) as fh:
+                data = parse_jsonl(fh)
+        except (OSError, ValueError, KeyError) as exc:
+            return fail(f"cannot read trace {args.trace!r}: {exc}")
+        return command(args, data)
+
+    return handler
+
+
+def _cmd_summary(args: Any, data: TraceData) -> int:
+    billing = data.billing if data.records else None
+    print(summary_text(data, billing=billing))
+    return EXIT_OK
+
+
+def _cmd_cost(args: Any, data: TraceData) -> int:
+    if not data.records:
+        return fail(
+            "trace has no billing records; re-run the experiment "
+            "with --trace to embed them"
         )
-        return 0
-    if args.command == "chrome":
-        out = args.output
-        _ensure_parent(out)
-        with open(out, "w") as fh:
-            json.dump(chrome_trace(data), fh)
-            fh.write("\n")
-        print(f"chrome trace written to {out} (open in https://ui.perfetto.dev)")
-        return 0
-    return 2
+    ledger = CostLedger.from_trace(data, data.billing)
+    grouped = {
+        "category": ledger.by_category,
+        "phase": ledger.by_phase,
+        "worker": ledger.by_worker,
+        "function": ledger.by_function,
+    }[args.by]()
+    rows = [
+        {
+            args.by: key,
+            "seconds": round(grouped[key]["seconds"], 4),
+            "gb_s": round(grouped[key]["gb_s"], 4),
+            "cost_usd": round(grouped[key]["cost"], 8),
+        }
+        for key in sorted(grouped, key=lambda k: (-grouped[k]["cost"], str(k)))
+    ]
+    print(render_table(rows, f"cost attribution by {args.by}"))
+    rec = ledger.reconcile()
+    print(
+        f"\nbill total: ${rec['billing_total_cost']:.6f}  "
+        f"attributed: {100 * rec['attributed_fraction']:.2f}% of GB-s  "
+        f"(row-sum error {rec['abs_error']:.2e})"
+    )
+    return EXIT_OK
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def _cmd_chrome(args: Any, data: TraceData) -> int:
+    out = write_chrome_trace(data, args.output)
+    print(f"chrome trace written to {out} (open in https://ui.perfetto.dev)")
+    return EXIT_OK

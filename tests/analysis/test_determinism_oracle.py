@@ -6,8 +6,8 @@ from repro.analysis.determinism import (
     Divergence,
     check_determinism,
     first_divergence,
-    main as oracle_main,
 )
+from repro.cli import main as repro_main
 from repro.sim import Monitor
 
 
@@ -130,7 +130,7 @@ def test_default_training_run_is_deterministic():
 
 @pytest.mark.slow
 def test_oracle_cli_self_test_fails_on_wallclock_injection(capsys):
-    assert oracle_main(["--inject-wallclock"]) == 1
+    assert repro_main(["determinism", "--inject-wallclock"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "wallclock_leak" in out
 
@@ -139,6 +139,6 @@ def test_oracle_cli_self_test_fails_on_wallclock_injection(capsys):
 def test_oracle_cli_json_clean(capsys):
     import json
 
-    assert oracle_main(["--json", "--seed", "5"]) == 0
+    assert repro_main(["determinism", "--json", "--seed", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True and payload["runs"] == 2

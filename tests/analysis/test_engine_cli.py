@@ -13,9 +13,14 @@ from repro.analysis import (
     load_config,
     write_baseline,
 )
-from repro.analysis.cli import main as cli_main
 from repro.analysis.config import config_from_table
 from repro.analysis.engine import module_path, parse_suppressions
+from repro.cli import main as repro_main
+
+
+def cli_main(argv):
+    return repro_main(["lint", *argv])
+
 
 BAD_SIM_MODULE = """
 import time
@@ -225,8 +230,8 @@ def test_cli_rules_filter(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main([str(package), "--rules", "SIM001"]) == 1
     capsys.readouterr()
-    with pytest.raises(SystemExit):
-        cli_main([str(package), "--rules", "SIM999"])
+    assert cli_main([str(package), "--rules", "SIM999"]) == 2
+    assert "error: unknown rule 'SIM999'" in capsys.readouterr().err
 
 
 def test_cli_list_rules(capsys):

@@ -5,8 +5,13 @@ import json
 import pytest
 
 from repro.analysis import Finding
-from repro.analysis.cli import main as cli_main
 from repro.analysis.formats import render, render_github, render_sarif
+from repro.cli import main as repro_main
+
+
+def cli_main(argv):
+    return repro_main(["lint", *argv])
+
 
 FINDINGS = [
     Finding(

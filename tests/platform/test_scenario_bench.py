@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.bench.runner import compare
+from repro.cli import main as repro_main
 from repro.platform import ScenarioConfig, run_isolated_baseline, run_scenario
 from repro.platform.arrivals import JobSizeProfile, TrafficProfile
 from repro.platform.bench import metrics_checksum, run_platform_suite
-from repro.platform.cli import main as platform_main
 from repro.platform.scenario import percentile
 
 SMALL = ScenarioConfig(
@@ -80,7 +80,7 @@ def test_platform_suite_document_schema_and_stability():
                 "cost_per_job_shared_usd"):
         assert key in section["metrics"]
     # Self-compare must pass the CI gate mechanics unchanged.
-    result = compare(doc, doc, min_speedup=0.0, portable_only=True)
+    result = compare(doc, doc, portable_only=True)
     assert result.ok
     # The checksum is a pure function of digest+metrics: recompute it.
     shared_entry = next(
@@ -93,27 +93,19 @@ def test_platform_suite_document_schema_and_stability():
 
 
 def test_cli_writes_comparable_documents(tmp_path, capsys):
-    assert platform_main(
-        ["--quick", "--name", "a", "--out", str(tmp_path), "--seed", "5"]
+    assert repro_main(
+        ["bench", "platform", "--quick", "--name", "a", "--out", str(tmp_path),
+         "--seed", "5"]
     ) == 0
-    # CLI defaults run the full-size default scenario; use --compare on
-    # the just-written file against itself for the gate round trip.
+    # CLI defaults run the full-size default scenario; compare the
+    # just-written file against itself for the gate round trip.
     path = tmp_path / "BENCH_a.json"
     assert path.exists()
     doc = json.loads(path.read_text())
     assert doc["name"] == "a"
     assert doc["quick"] is True
-    assert platform_main(["--compare", str(path), str(path)]) == 0
+    assert repro_main(
+        ["bench", "compare", str(path), str(path), "--portable-only"]
+    ) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
-
-
-def test_bench_cli_forwards_platform_subcommand(tmp_path, capsys):
-    """``python -m repro.bench platform ...`` is the platform CLI."""
-    from repro.bench.cli import main as bench_main
-
-    doc = {"name": "x", "quick": True, "schema_version": 1, "ops": []}
-    path = tmp_path / "BENCH_x.json"
-    path.write_text(json.dumps(doc))
-    assert bench_main(["platform", "--compare", str(path), str(path)]) == 0
-    assert "PASS" in capsys.readouterr().out

@@ -1,11 +1,16 @@
-"""CLI surface: ``python -m repro.scenarios`` subcommands, exit codes,
-report writing, and the ``repro.cli scenario ...`` forwarding."""
+"""CLI surface: the ``repro scenario`` subcommands, exit codes and
+report writing."""
 
 import json
 
 import pytest
 
-from repro.scenarios.cli import main
+from repro.cli import main as repro_main
+
+
+def main(argv):
+    return repro_main(["scenario", *argv])
+
 
 QUICK_TOML = """\
 [scenario]
@@ -101,17 +106,9 @@ def test_budget_violation_is_exit_3(tmp_path, capsys):
 
 
 def test_repro_cli_forwards_scenario_subcommand(capsys):
-    from repro.cli import main as repro_main
-
     assert repro_main(["scenario", "list"]) == 0
     assert "fault-storm" in capsys.readouterr().out
 
 
 def test_repro_cli_forwards_validate_errors(capsys):
-    from repro.cli import main as repro_main
-
     assert repro_main(["scenario", "validate", "no-such-scenario"]) == 2
-
-
-def test_module_entry_point_exists():
-    import repro.scenarios.__main__  # noqa: F401

@@ -1,4 +1,4 @@
-"""Exporters and the ``repro-trace`` CLI: Chrome JSON, JSONL round-trip.
+"""Exporters and the ``repro trace`` subcommands: Chrome JSON, JSONL round-trip.
 
 The Chrome export must be structurally loadable by Perfetto (metadata
 events, ``ph: "X"`` completes with microsecond timestamps, deterministic
@@ -22,8 +22,13 @@ from repro.trace import (
     parse_jsonl,
     to_jsonl_lines,
 )
-from repro.trace_cli import main as cli_main
+from repro.cli import main as repro_main
 from repro.trace_cli import summary_text, write_run_trace
+
+
+def cli_main(argv):
+    return repro_main(["trace", *argv])
+
 
 SPEC = MovieLensSpec(n_users=60, n_movies=50, n_ratings=3_000, rank=3,
                      batch_size=400)
@@ -180,7 +185,9 @@ def test_cli_chrome_reexport(jsonl_file, tmp_path, capsys):
 
 
 def test_cli_errors(tmp_path, capsys):
-    assert cli_main([]) == 2  # no subcommand: help + error exit
+    with pytest.raises(SystemExit) as no_subcommand:  # usage + error exit
+        cli_main([])
+    assert no_subcommand.value.code == 2
     missing = str(tmp_path / "nope.jsonl")
     assert cli_main(["summary", missing]) == 2
     assert "cannot read trace" in capsys.readouterr().err

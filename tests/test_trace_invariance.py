@@ -4,14 +4,11 @@ A run traced with a recording :class:`~repro.trace.Tracer` must produce a
 monitor-trace digest bit-identical to an untraced run of the same seed —
 the tracer only reads ``env.now``/``env.active_process`` and never
 schedules, yields, or draws randomness.  CI enforces the same property
-via ``python -m repro.analysis.determinism --trace-invariance``.
+via ``repro determinism --trace-invariance``.
 """
 
-from repro.analysis.determinism import (
-    default_run,
-    main,
-    trace_invariance_check,
-)
+from repro.analysis.determinism import default_run, trace_invariance_check
+from repro.cli import main
 from repro.trace import Tracer
 
 
@@ -33,6 +30,6 @@ def test_trace_invariance_check_passes():
 
 
 def test_trace_invariance_cli_exits_zero(capsys):
-    assert main(["--trace-invariance"]) == 0
+    assert main(["determinism", "--trace-invariance"]) == 0
     out = capsys.readouterr().out
     assert "trace-invariance: OK" in out
