@@ -103,7 +103,6 @@ DEFAULT_SEED_RNG_FACTORIES = (
     "core/worker.py",
     "baselines/pywren_ml.py",
     "baselines/serverful.py",
-    "bench/workloads.py",
 )
 
 #: thread-backend modules whose lock discipline LOCK1xx polices

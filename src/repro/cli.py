@@ -8,18 +8,17 @@
     repro trace summary | cost | chrome <RUN.trace.json.jsonl>
     repro lint [paths] [--baseline analysis-baseline.json]
     repro determinism [--trace-invariance]
-    repro bench list | run | kernel | platform | compare <BASELINE> <NEW>
 
 This module builds the only parser and owns what every subcommand
-shares: the exit codes, :func:`fail`, the file reader/writers and the
+shares: the exit codes, :func:`fail`, the file writers and the
 ``BrokenPipeError`` guard.  Each package's host-I/O module
 (:mod:`repro.scenarios.cli`, :mod:`repro.trace_cli`,
-:mod:`repro.analysis.cli`, :mod:`repro.analysis.determinism`,
-:mod:`repro.bench.cli`) contributes ``add_parser(subparsers)`` and the
-handlers behind it; ``run`` lives here.
+:mod:`repro.analysis.cli`, :mod:`repro.analysis.determinism`)
+contributes ``add_parser(subparsers)`` and the handlers behind it;
+``run`` lives here.
 
-Exit codes: 0 ok; 1 a check failed (findings, divergence, checksum
-drift, reconciliation); 2 usage error or unreadable input; 3 budget
+Exit codes: 0 ok; 1 a check failed (findings, divergence,
+reconciliation); 2 usage error or unreadable input; 3 budget
 violation; 4 digest instability under ``scenario run --rerun-check``.
 """
 
@@ -50,7 +49,6 @@ __all__ = [
     "build_parser",
     "fail",
     "main",
-    "read_json",
     "write_json",
     "write_text",
 ]
@@ -80,17 +78,11 @@ def write_json(path: Any, doc: Any) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: Any) -> Any:
-    """Parse the JSON file at ``path`` (``OSError``/``ValueError`` on failure)."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     # Imported here, not at the top: these modules import the helpers above.
     from . import trace_cli
     from .analysis import cli as lint_cli
     from .analysis import determinism
-    from .bench import cli as bench_cli
     from .scenarios import cli as scenario_cli
 
     parser = argparse.ArgumentParser(
@@ -104,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cli.add_parser(subparsers)
     lint_cli.add_parser(subparsers)
     determinism.add_parser(subparsers)
-    bench_cli.add_parser(subparsers)
     return parser
 
 

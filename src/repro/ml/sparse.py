@@ -460,29 +460,12 @@ class SparseDelta:
 
         Uses ``np.add.at``: on NumPy >= 1.25 the ufunc ``.at`` fast path
         is the quickest correct scatter-add (measurably faster than the
-        gather/add/scatter of a fancy-index ``+=``, which is kept as
-        :meth:`_apply_fancy` for the equivalence property tests).
+        gather/add/scatter of a fancy-index ``+=``).
         """
         if dense.shape != self.shape:
             raise ValueError(f"shape mismatch: {dense.shape} vs {self.shape}")
         if self.nnz:
             np.add.at(np.ravel(dense), self.indices, self.values)
-
-    def _apply_fancy(self, dense: np.ndarray) -> None:
-        """Fancy-index scatter: valid only because indices are unique.
-
-        Bit-identical to :meth:`apply_to` for sorted-unique deltas (the
-        invariant every kernel in this repo maintains); property-tested
-        against it, and benchmarked so a future NumPy where this wins
-        again is visible in BENCH output.
-        """
-        if dense.shape != self.shape:
-            raise ValueError(f"shape mismatch: {dense.shape} vs {self.shape}")
-        if not self.has_sorted_unique_indices:
-            raise ValueError("fancy-index scatter requires sorted-unique indices")
-        if self.nnz:
-            flat = np.ravel(dense)
-            flat[self.indices] += self.values
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape)

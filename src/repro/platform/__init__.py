@@ -4,10 +4,10 @@ Many tenants submit training jobs into an event-driven admission queue;
 a weighted fair-share scheduler packs them onto one shared FaaS pool
 (warm containers reused *across* tenants, scale-to-zero when idle); the
 consolidated cloud bill is split back into per-tenant invoices with
-idle-cost attribution.  The package's benchmark
-(``repro bench platform``) reports the platform's economics —
-jobs/hour, p95 queue wait, and cost per job against naive per-job
-isolation — as a digest-stable ``BENCH_platform.json``.
+idle-cost attribution.  ``repro scenario run diurnal-multi-tenant``
+reports the platform's economics — jobs/hour, p95 queue wait, and cost
+per job against naive per-job isolation — with a digest-stable KPI
+report.
 
 Data flow::
 

@@ -3,8 +3,8 @@
 :func:`run_scenario` wires the whole tentpole together — tenant fleet,
 diurnal arrivals, admission queue, fair-share scheduler, shared pool
 with scale-to-zero, per-tenant invoices — in one fresh simulation
-world, and measures the platform-scale metrics the benchmark reports:
-jobs/hour, queue-wait percentiles, and cost per job.
+world, and measures the platform-scale metrics: jobs/hour, queue-wait
+percentiles, and cost per job.
 
 :func:`run_isolated_baseline` prices the counterfactual: every job on
 its own single-tenant platform (fresh environment, forked RNG registry
@@ -15,7 +15,8 @@ cost ratio is the platform's economic headline.
 Determinism: the scenario records scheduling decisions, queue depths
 and completions into a traced :class:`~repro.sim.Monitor`; two runs of
 the same config must produce bit-identical ``trace_digest()`` values
-(enforced by the benchmark harness and the property tests).
+(enforced by the pinned digest in ``tests/platform`` and the property
+tests).
 """
 
 from __future__ import annotations

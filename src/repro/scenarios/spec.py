@@ -48,7 +48,6 @@ from typing import (
 
 from ..experiments.settings import WORKLOADS
 from ..faults import FAULT_PROFILES, FaultProfile
-from ..faults.profile import FAULT_RATE_FIELDS
 
 __all__ = [
     "SpecError",
@@ -368,9 +367,9 @@ class FaultSpec(_Section):
     max_storage_retries: int = _inline(4, ge=0)
 
     def _cross_check(self, path: str) -> None:
-        if self.profile is not None and any(
-            getattr(self, name) > 0.0 for name in FAULT_RATE_FIELDS
-        ):
+        # A preset lowers to the registry entry and dumps as its name
+        # alone, so any inline key moved off its default would be lost.
+        if self.profile is not None and self != FaultSpec(profile=self.profile):
             raise SpecError(
                 path, "sets both a named 'profile' and inline rates; pick one"
             )

@@ -155,7 +155,7 @@ def test_update_merge_many_equals_pairwise_fold(updates):
         assert many[name].values.tobytes() == fold[name].values.tobytes()
 
 
-# -- scatters: add.at reference == fancy-index variant --------------------
+# -- scatter: apply_to == add.at reference --------------------------------
 @given(delta=sparse_deltas(unique=False), base=small_floats)
 @settings(max_examples=50, deadline=None)
 def test_apply_to_equals_add_at_reference(delta, base):
@@ -165,16 +165,6 @@ def test_apply_to_equals_add_at_reference(delta, base):
         np.add.at(np.ravel(reference), delta.indices, delta.values)
     delta.apply_to(dense)
     assert dense.tobytes() == reference.tobytes()
-
-
-@given(delta=sparse_deltas(unique=True), base=small_floats)
-@settings(max_examples=50, deadline=None)
-def test_apply_fancy_equals_apply_to_for_sorted_unique(delta, base):
-    via_add_at = np.full((SIZE,), base)
-    via_fancy = via_add_at.copy()
-    delta.apply_to(via_add_at)
-    delta._apply_fancy(via_fancy)
-    assert via_fancy.tobytes() == via_add_at.tobytes()
 
 
 @given(updates=st.lists(model_updates(), min_size=1, max_size=5), base=small_floats)

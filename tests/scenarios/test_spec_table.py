@@ -17,6 +17,7 @@ import pytest
 
 from repro.faults import FaultProfile
 from repro.scenarios import (
+    FaultSpec,
     JobMixSpec,
     PoolSpec,
     PricingSpec,
@@ -187,6 +188,32 @@ def test_unknown_key_names_the_sorted_known_keys(section):
     assert message == (
         f"{section}.no_such_key: unknown key (expected one of {known})"
     )
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("crash_window_s", [100.0, 200.0]),
+        ("straggler_factor", [2.0, 3.0]),
+        ("coldstart_spike_factor", [3.0, 9.0]),
+        ("max_storage_retries", 9),
+        ("kv_error_rate", 0.5),
+    ],
+)
+def test_named_fault_profile_refuses_inline_keys_off_their_default(name, value):
+    """A preset lowers to the registry entry and dumps as its name, so an
+    inline magnitude beside it would be silently ignored and then lost."""
+    doc = doc_with("faults", "profile", "crash")
+    doc["faults"][name] = value
+    with pytest.raises(SpecError) as excinfo:
+        spec_from_dict(doc)
+    assert str(excinfo.value) == (
+        "faults: sets both a named 'profile' and inline rates; pick one"
+    )
+    # ... while the same key spelled out at its default changes nothing.
+    default = FaultSpec.__dataclass_fields__[name].default
+    doc["faults"][name] = list(default) if isinstance(default, tuple) else default
+    assert spec_from_dict(doc).faults == FaultSpec(profile="crash")
 
 
 # -- by-name lowering reaches every key -------------------------------------

@@ -108,8 +108,6 @@ def test_parser_tree_every_leaf_has_help_and_a_handler(capsys):
         "scenario list", "scenario validate", "scenario run",
         "trace summary", "trace cost", "trace chrome",
         "lint", "determinism",
-        "bench list", "bench run", "bench kernel", "bench platform",
-        "bench compare",
     ])
     for name, (leaf, text) in leaves.items():
         assert text, f"`repro {name}` has no help text"
@@ -121,7 +119,7 @@ def test_parser_tree_every_leaf_has_help_and_a_handler(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [[], ["frobnicate"], ["trace"], ["bench", "backend"],
+    "argv", [[], ["frobnicate"], ["trace"], ["bench"],
              ["scenario", "frobnicate"], ["--workload", "pmf-ml10m"]],
 )
 def test_unknown_or_missing_subcommand_exits_2(argv, capsys):
@@ -132,7 +130,7 @@ def test_unknown_or_missing_subcommand_exits_2(argv, capsys):
 
 
 def test_old_entry_points_are_gone():
-    for name in ("repro.bench.__main__", "repro.platform.__main__",
+    for name in ("repro.bench", "repro.platform.bench", "repro.platform.__main__",
                  "repro.scenarios.__main__", "repro.analysis.__main__",
                  "repro.trace.__main__", "repro.platform.cli"):
         with pytest.raises(ModuleNotFoundError):
@@ -206,11 +204,9 @@ def quick_spec(tmp_path_factory):
         ("scenario run {spec} --report {out}/kpi.json", "kpi.json"),
         ("trace chrome {trace} -o {out}/c.json", "c.json"),
         ("lint {lint} --output {out}/lint.txt", "lint.txt"),
-        ("bench run --quick --ops kernel.row_slice --name w --out {out}",
-         "BENCH_w.json"),
     ],
     ids=["run --trace", "scenario run --report", "trace chrome -o",
-         "lint --output", "bench run --out"],
+         "lint --output"],
 )
 def test_every_output_flag_creates_parent_directories(
     argv, filename, tmp_path, trace_jsonl, lint_target, quick_spec

@@ -1,5 +1,7 @@
 """Unit tests for the DES kernel (repro.sim.core)."""
 
+import time
+
 import pytest
 
 from repro.sim import (
@@ -310,3 +312,23 @@ def test_run_until_untriggerable_event_raises():
     evt = env.event()  # never triggered, no other events
     with pytest.raises(SimulationError):
         env.run(until=evt)
+
+
+def test_profile_report_shape_from_instrumented_kernel():
+    # A tiny env under enable_profile must produce per-type
+    # count/total_ns and the timeout-delay histogram.
+    env = Environment()
+
+    def machine(env):
+        yield env.timeout(0.5)
+        yield env.timeout(0.0)
+
+    env.process(machine(env))
+    env.enable_profile(time.perf_counter_ns)
+    env.run()
+    report = env.profile_report()
+    assert set(report) == {"event_types", "timeout_delays"}
+    assert report["event_types"]["Timeout"]["count"] >= 2
+    for entry in report["event_types"].values():
+        assert entry["count"] > 0 and entry["total_ns"] >= 0
+    assert sum(b["count"] for b in report["timeout_delays"]) >= 1
