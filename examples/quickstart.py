@@ -26,6 +26,7 @@ import argparse
 import json
 
 from repro import FAULT_PROFILES, JobConfig, run_mlless
+from repro.core.capabilities import COST_METERING, FAULTS, TRACING, Refusal, check, supports
 from repro.ml.data import MovieLensSpec, movielens_like
 from repro.ml.models import PMF
 from repro.ml.optim import InverseSqrtLR, MomentumSGD
@@ -58,12 +59,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     faults = None if args.faults == "off" else FAULT_PROFILES[args.faults]
-    if args.backend != "sim" and faults is not None:
-        raise SystemExit(
-            f"--backend {args.backend} cannot inject faults (sim-only)"
-        )
-    if args.backend != "sim" and args.trace is not None:
-        raise SystemExit(f"--backend {args.backend} does not support --trace")
+    asked = {FAULTS: faults is not None, TRACING: args.trace is not None}
+    try:  # before the dataset is built; run_mlless would say the same
+        check([feature for feature, on in asked.items() if on], args.backend)
+    except Refusal as refusal:
+        raise SystemExit(str(refusal))
 
     spec = MovieLensSpec(
         n_users=500, n_movies=400, n_ratings=40_000, batch_size=500
@@ -102,7 +102,7 @@ def main(argv=None):
     for i in range(0, len(times), max(1, len(times) // 10)):
         print(f"  t={times[i] - result.started_at:7.2f}s  rmse={losses[i]:.4f}")
 
-    if args.backend != "sim":
+    if not supports(COST_METERING, args.backend):
         print(f"\nno bill: the {args.backend} backend runs on your own "
               "machine (cost metering is sim-only)")
     else:

@@ -30,6 +30,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from .core.capabilities import BACKENDS, COST_METERING, TABLE
 from .experiments.common import (
     mlless_config,
     run_mlless,
@@ -152,7 +153,7 @@ def _add_run_parser(subparsers) -> None:
         "(Perfetto-loadable), lossless JSONL at PATH.jsonl",
     )
     parser.add_argument(
-        "--backend", choices=["sim", "local", "procs"], default="sim",
+        "--backend", choices=BACKENDS, default="sim",
         help="execution backend (mlless only): 'sim' = discrete-event "
         "simulation (default), 'local' = real threads + wall-clock time, "
         "'procs' = one OS process per role + shared-memory gradients",
@@ -191,7 +192,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     profile = None if args.faults == "off" else FAULT_PROFILES[args.faults]
     # --system is a CLI-only concept, so its refusals live here; what a
-    # backend cannot do is refused by the backend (ValueError below).
+    # backend cannot do is refused by the capability table (ValueError below).
     if args.system != "mlless":
         for flag, given in (
             ("--faults", profile is not None),
@@ -229,9 +230,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return fail(str(exc))
 
     print(render_table([result.summary()], "result"))
-    if args.backend in ("local", "procs"):
-        print(f"({args.backend} backend: {result.exec_time:.2f}s real "
-              "wall-clock, no billed platform — cost metering is sim-only)")
+    unmetered = TABLE[COST_METERING][args.backend].refused
+    if unmetered is not None:
+        print(f"({result.exec_time:.2f}s real wall-clock; {unmetered})")
     else:
         print(render_table(
             [{"component": k, "cost_usd": round(v, 6)}

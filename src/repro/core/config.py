@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, FrozenSet, Optional, Tuple
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
 from ..faults import FaultProfile
 from ..ml.data.dataset import Dataset
 from ..ml.models.base import Model
 from ..ml.optim.base import Optimizer
+from . import capabilities as cap
 from .adaptive import AdaptiveConfig
 
-__all__ = ["AutoTunerConfig", "JobConfig"]
+__all__ = ["AutoTunerConfig", "JobConfig", "pipeline_shape_error"]
 
 #: default per-step barrier timeout when fault tolerance is on, seconds
 DEFAULT_BARRIER_TIMEOUT_S = 15.0
@@ -68,6 +69,22 @@ class AutoTunerConfig:
             raise ValueError(f"unknown knee_method {self.knee_method!r}")
 
 
+def pipeline_shape_error(model: Model, n_workers: int, stages: int) -> Optional[Tuple[str, str]]:
+    """``(offending JobConfig field, why)`` if ``model`` cannot run as ``stages``
+    pipeline stages on ``n_workers`` workers, else None.  Shared with the spec layer."""
+    if n_workers != stages:
+        return "n_workers", ("pipeline mode maps one stage per worker function: "
+                             f"n_workers ({n_workers}) must equal pipeline_stages ({stages})")
+    if not hasattr(model, "stage_layers"):
+        return "model", (f"model {type(model).__name__} is not stageable "
+                         "(needs stage_layers/stage_forward/stage_backward)")
+    try:  # an unpartitionable depth (more stages than layers) fails here, not mid-job
+        model.stage_layers(stages)
+    except ValueError as exc:
+        return "pipeline_stages", str(exc)
+    return None
+
+
 @dataclass
 class JobConfig:
     """Everything needed to run one MLLess training job."""
@@ -83,8 +100,8 @@ class JobConfig:
     #: default), "ssp" (Stale Synchronous Parallel [13], the relaxation
     #: §3.1 notes is "easy enough to integrate") or "adaptive" (SMLT-style:
     #: start under the barrier, switch to gossip mid-job when the
-    #: supervisor's AdaptiveController sees sustained arrival skew); the
-    #: significance filter composes with any of them
+    #: supervisor's AdaptiveController sees sustained arrival skew); what
+    #: each composes with is declared in :mod:`repro.core.capabilities`
     sync: str = "bsp"
     #: SSP bound: a worker may run at most this many steps ahead of the
     #: slowest peer
@@ -141,15 +158,15 @@ class JobConfig:
     #: controller knobs for sync == "adaptive"; None = AdaptiveConfig()
     adaptive: Optional[AdaptiveConfig] = None
 
+    #: field -> its inclusive lower bound
+    _AT_LEAST = dict(n_workers=1, significance_v=0, max_steps=1, ssp_staleness=0,
+                     max_invoke_retries=0, max_resyncs_per_step=1, pipeline_stages=1,
+                     micro_batches=1)
+
     def __post_init__(self):
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.significance_v < 0:
-            raise ValueError(
-                f"significance_v must be >= 0, got {self.significance_v}"
-            )
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        for name, low in self._AT_LEAST.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.n_workers > len(self.dataset):
             raise ValueError(
                 f"{self.n_workers} workers but only {len(self.dataset)} "
@@ -157,88 +174,30 @@ class JobConfig:
             )
         if self.sync not in ("bsp", "ssp", "adaptive"):
             raise ValueError(f"unknown sync protocol {self.sync!r}")
-        if self.ssp_staleness < 0:
-            raise ValueError(
-                f"ssp_staleness must be >= 0, got {self.ssp_staleness}"
-            )
-        if self.sync == "ssp" and self.autotuner.enabled:
-            raise ValueError(
-                "the scale-in auto-tuner currently requires the BSP "
-                "barrier; disable it for SSP runs"
-            )
-        if self.max_invoke_retries < 0:
-            raise ValueError(
-                f"max_invoke_retries must be >= 0, got {self.max_invoke_retries}"
-            )
-        if self.max_resyncs_per_step < 1:
-            raise ValueError(
-                f"max_resyncs_per_step must be >= 1, got {self.max_resyncs_per_step}"
-            )
-        if self.sync == "ssp" and self.ft_enabled:
-            raise ValueError(
-                "fault tolerance currently requires the BSP barrier; "
-                "disable it (or the fault profile) for SSP runs"
-            )
-        if self.sync == "adaptive":
-            if self.autotuner.enabled:
-                raise ValueError(
-                    "sync='adaptive' owns scale-in itself; disable the "
-                    "scale-in auto-tuner for adaptive runs"
-                )
-            if self.ft_enabled:
-                raise ValueError(
-                    "fault tolerance and sync='adaptive' are mutually "
-                    "exclusive (the resync protocol assumes a fixed "
-                    "sync family); disable one of them"
-                )
         if self.reintegrate_deadline_s <= 0:
             raise ValueError(
                 "reintegrate_deadline_s must be > 0, got "
                 f"{self.reintegrate_deadline_s}"
             )
-        if self.pipeline_stages < 1:
-            raise ValueError(
-                f"pipeline_stages must be >= 1, got {self.pipeline_stages}"
-            )
-        if self.micro_batches < 1:
-            raise ValueError(
-                f"micro_batches must be >= 1, got {self.micro_batches}"
-            )
+        cap.check(self.features)
         if self.pipeline_stages > 1:
-            if self.sync != "bsp":
-                raise ValueError(
-                    "pipeline parallelism uses the barrier supervisor; "
-                    f"sync must be 'bsp', got {self.sync!r}"
-                )
-            if self.significance_v != 0:
-                raise ValueError(
-                    "the significance filter is data-parallel-only; "
-                    "set significance_v=0 for pipeline runs"
-                )
-            if self.autotuner.enabled:
-                raise ValueError(
-                    "a pipeline cannot scale in (every stage holds "
-                    "unique layers); disable the auto-tuner"
-                )
-            if self.ft_enabled:
-                raise ValueError(
-                    "fault tolerance is not yet wired for pipeline "
-                    "stages; disable it (or the fault profile)"
-                )
-            if self.n_workers != self.pipeline_stages:
-                raise ValueError(
-                    "pipeline mode maps one stage per worker function: "
-                    f"n_workers ({self.n_workers}) must equal "
-                    f"pipeline_stages ({self.pipeline_stages})"
-                )
-            if not hasattr(self.model, "stage_layers"):
-                raise ValueError(
-                    f"model {type(self.model).__name__} is not stageable "
-                    "(needs stage_layers/stage_forward/stage_backward)"
-                )
-            # Fail fast on an unpartitionable depth (e.g. more stages
-            # than layers) instead of mid-job.
-            self.model.stage_layers(self.pipeline_stages)
+            problem = pipeline_shape_error(self.model, self.n_workers, self.pipeline_stages)
+            if problem is not None:
+                raise ValueError(problem[1])
+
+    @property
+    def features(self) -> FrozenSet[str]:
+        """The capability-table rows this job switches on."""
+        on = {
+            cap.SSP: self.sync == "ssp",
+            cap.ADAPTIVE: self.sync == "adaptive",
+            cap.ISP: self.significance_v != 0,
+            cap.AUTOTUNE: self.autotuner.enabled,
+            cap.PIPELINE: self.pipeline_stages > 1,
+            cap.FAULTS: self.faults is not None and not self.faults.is_noop(),
+            cap.CRASH_RECOVERY: self.ft_enabled,
+        }
+        return frozenset(feature for feature, is_on in on.items() if is_on)
 
     @property
     def sync_model(self) -> str:

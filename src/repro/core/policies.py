@@ -35,6 +35,7 @@ __all__ = [
     "SyncPolicy",
     "resolve_policy",
     "gossip_policy",
+    "can_gossip",
 ]
 
 #: coordination families
@@ -105,3 +106,8 @@ def gossip_policy(config) -> SyncPolicy:
         staleness=config.ssp_staleness,
         scale_mode=SCALE_ACTIVE,
     )
+
+
+def can_gossip(config) -> bool:
+    """Whether the job ever gossips: SSP from step one, adaptive after its switch."""
+    return config.sync == "adaptive" or resolve_policy(config).family == GOSSIP

@@ -24,19 +24,11 @@ module only* — it is deliberately left out of sim-lint's
 ``simulated-layers`` (see ``pyproject.toml``), while everything under
 ``repro/exec/sim.py`` and the core machines remain lint-enforced pure.
 
-What the wall-clock backends do **not** do:
-
-* fault injection — the injector samples from the simulation's RNG
-  streams and steers simulated time; :func:`refuse_faults` rejects
-  configs with a non-noop fault profile;
-* cost metering — there is no billed platform; the result carries an
-  empty :class:`~repro.pricing.CostMeter` (total cost 0.0);
-* bit-reproducible *schedules* — message arrival order depends on OS
-  scheduling, so supervisor-side mean-loss floats may differ at ulp
-  level between runs.  Each worker's parameter evolution is still
-  deterministic (peer updates are applied in sorted sender order), so
-  the final loss matches the simulator to tight tolerance — enforced by
-  ``tests/exec/test_cross_backend.py``.
+What the wall-clock backends support and refuse is declared in
+:mod:`repro.core.capabilities` and checked by ``run_mlless``, the front
+door to the job runners here.  Message arrival order is the OS's, so
+supervisor-side mean losses may differ at ulp level between runs; under
+the barrier each worker's parameters still evolve deterministically.
 """
 
 from __future__ import annotations
@@ -65,7 +57,6 @@ __all__ = [
     "LocalSpawner",
     "HostJob",
     "drive",
-    "refuse_faults",
     "run_role",
     "run_local_job",
     "DATA_BUCKET",
@@ -284,16 +275,6 @@ class LocalSpawner:
 # -- the job skeleton every wall-clock backend shares ------------------------
 
 
-def refuse_faults(config: Any, backend: str) -> None:
-    """Reject fault profiles, before anything is allocated."""
-    if config.faults is not None and not config.faults.is_noop():
-        raise ValueError(
-            f"the {backend} backend cannot inject faults — fault profiles "
-            "sample simulated RNG streams and steer simulated time; "
-            "run fault experiments on the sim backend"
-        )
-
-
 def _discard_estimate(cpu_seconds: float) -> None:
     """Host ``compute``: no artificial delay.  The surrounding numpy
     arithmetic already takes real CPU time here, which is the whole
@@ -458,7 +439,6 @@ class HostJob:
 
 def run_local_job(config: Any, max_duration_s: float = 600.0) -> RunResult:
     """Train one MLLess job for real, one OS thread per role."""
-    refuse_faults(config, "local")
     kv = LocalKVStore()
     mq = LocalMessageQueue()
     exchange = LocalExchange(mq, "mlless-broadcast")

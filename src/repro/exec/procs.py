@@ -26,27 +26,20 @@ Substrate, piece by piece:
   ``kv_delete`` — only used by detached GC sweeps — is fire-and-forget.
   :class:`ProcExchange` fans a broadcast out from the caller's process
   to whatever queues the server currently lists as bound.
-* **Model/gradient buffers** go through a :class:`ShmArena`: one
-  ``multiprocessing.shared_memory`` block whose per-tensor layout is
-  negotiated at spawn.  A worker's significant update is written into
-  a parity slot (``step % 2`` — safe under the BSP barrier, which
-  guarantees step ``s`` updates are consumed before step ``s + 2``
-  exists) and readers reconstruct **zero-copy NumPy views** over the
-  block; only a tiny descriptor crosses the control queue.  Dense
-  replica hand-offs (``departed/…`` keys) use per-worker dense slots
-  the same way.  SSP's staleness window breaks the parity argument, so
-  SSP jobs skip the arena and pickle updates through the control
-  server instead.
+* **Model/gradient buffers** go through a :class:`ShmArena`: updates
+  are written into a parity slot (``step % 2`` — safe under the BSP
+  barrier, which guarantees step ``s`` updates are consumed before step
+  ``s + 2`` exists), read back as zero-copy views, and only a tiny
+  descriptor crosses the control queue.  A staleness window breaks the
+  parity argument, so a job that can ever gossip (SSP, or adaptive
+  after its mid-job switch) gets no arena and pickles its updates.
 
-Like the local backend this module is host-side by design: wall-clock
-reads and real concurrency primitives are legal here, it is excluded
-from sim-lint's ``simulated-layers``, and it is covered by the LOCK1xx
-lock-hygiene rules instead.  Fault injection is rejected for the same
-reason as in ``exec/local.py``; cost metering is empty (no billed
-platform).  Relaunch/resume works unchanged: a role that returns the
-relaunch marker is re-entered in place, and because checkpoints travel
-through the parent-held KV server they survive even the *death* of a
-role process — a replacement process resumes from the checkpoint.
+Host-side by design, like the local backend: outside sim-lint's
+``simulated-layers``, under the LOCK1xx lock-hygiene rules.  What it
+supports and refuses is declared in :mod:`repro.core.capabilities`.
+Relaunch/resume works unchanged, and because checkpoints travel through
+the parent-held KV server they survive even the *death* of a role
+process — a replacement process resumes from the checkpoint.
 """
 
 from __future__ import annotations
@@ -60,6 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.history import RunResult
+from ..core.policies import can_gossip
 from ..ml.parameters import ModelUpdate, ParameterSet
 from ..ml.sparse import SparseDelta
 from ..storage.errors import KeyNotFound, StorageError
@@ -67,7 +61,6 @@ from .deadline import Deadline
 from .local import (
     HostJob,
     LocalMessageQueue,
-    refuse_faults,
     run_role,
     _CONSUME_DEADLINE_S,
     _WORKER_DRAIN_GRACE_S,
@@ -474,12 +467,6 @@ def run_procs_job(config: Any, max_duration_s: float = 600.0) -> RunResult:
     Results and the supervisor's monitor come back over a results
     queue; whatever happens, every child is reaped and the arena freed.
     """
-    refuse_faults(config, "procs")
-    if config.pipeline_stages > 1:
-        raise ValueError(
-            "the procs backend does not support pipeline-parallel jobs; "
-            "use the sim or local backend"
-        )
     try:
         ctx = mp.get_context("fork")
     except ValueError:
@@ -494,13 +481,8 @@ def run_procs_job(config: Any, max_duration_s: float = 600.0) -> RunResult:
     #: one reply queue per role, plus one for the parent itself
     reply_qs = [ctx.Queue() for _ in range(n_roles + 1)]
 
-    # SSP's staleness window breaks the parity-slot reuse argument, so
-    # only barrier-synchronized jobs negotiate the shm arena.
-    arena = (
-        ShmArena(_negotiated_shapes(config), config.n_workers)
-        if config.sync != "ssp"
-        else None
-    )
+    # Only a job that stays under the barrier for good gets the arena.
+    arena = None if can_gossip(config) else ShmArena(_negotiated_shapes(config), config.n_workers)
     mq = LocalMessageQueue(ctx.Queue)
 
     def transport(client_id: int) -> Tuple[ProcKVClient, ProcExchange]:

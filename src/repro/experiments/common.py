@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core import JobConfig, JobRuntime, MLLessDriver, RunResult
+from ..core.capabilities import BACKENDS, TRACING, WORLD, check
 from ..faas import FaaSPlatform
 from ..faults import FaultInjector, FaultProfile
 from ..pricing import CostMeter
@@ -95,32 +96,24 @@ def run_mlless(
 ) -> RunResult:
     """Run one MLLess job on the chosen execution backend.
 
-    ``backend="sim"`` (default) runs in a fresh (or given) simulation
-    world; ``backend="local"`` runs the same training machines for real
-    on threads (:func:`repro.exec.local.run_local_job`) — no simulated
-    world, no fault injection, no tracer, genuine wall-clock timings.
-    ``backend="procs"`` runs them for real with one OS process per role
-    (:func:`repro.exec.procs.run_procs_job`), gradients in shared
-    memory — the true-parallel path, same restrictions as ``local``.
+    ``"sim"`` (default) runs in a fresh (or given) simulation world;
+    ``"local"`` runs the same machines for real on threads and ``"procs"``
+    on one OS process per role: genuine wall-clock timings, no bill.
+    This is the front door to all three: what the job asks for is checked
+    against :mod:`repro.core.capabilities` here, before anything is built.
     """
-    if backend in ("local", "procs"):
-        if world is not None:
-            raise ValueError(
-                f"backend={backend!r} does not take a simulation world"
-            )
-        if tracer is not None:
-            raise ValueError(f"backend={backend!r} does not support span tracing")
-        if backend == "procs":
-            from ..exec.procs import run_procs_job
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r} (expected one of {BACKENDS})")
+    asked = {WORLD: world is not None, TRACING: tracer is not None}
+    check(config.features | {row for row, on in asked.items() if on}, backend)
+    if backend == "procs":
+        from ..exec.procs import run_procs_job
 
-            return run_procs_job(config)
+        return run_procs_job(config)
+    if backend == "local":
         from ..exec.local import run_local_job
 
         return run_local_job(config)
-    if backend != "sim":
-        raise ValueError(
-            f"unknown backend {backend!r} (expected 'sim', 'local' or 'procs')"
-        )
     if world is None:
         world = build_world(seed=config.seed, faults=config.faults, tracer=tracer)
     runtime = make_runtime(world, config)

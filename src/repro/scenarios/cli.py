@@ -31,6 +31,7 @@ from ..cli import (
     fail,
     write_json,
 )
+from ..core.capabilities import RERUN, Refusal, check
 from .compiler import run_scenario_spec
 from .kpi import ReconciliationError, summary_lines
 from .loader import load_spec_text
@@ -116,7 +117,7 @@ def _reporting_spec_errors(command: Callable[[Any], int]) -> Callable[[Any], int
     def handler(args: Any) -> int:
         try:
             return command(args)
-        except SpecError as exc:
+        except (SpecError, Refusal) as exc:
             return fail(str(exc))
         except ReconciliationError as exc:
             print(f"reconciliation failure: {exc}", file=sys.stderr)
@@ -157,14 +158,11 @@ def _cmd_validate(args: Any) -> int:
 
 def _cmd_run(args: Any) -> int:
     spec = load_template(args.scenario)
+    if args.rerun_check:
+        check([RERUN], spec.backend)
     progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     payload = run_scenario_spec(spec, seed=args.seed, progress=progress)
     if args.rerun_check:
-        if not payload["deterministic"]:
-            return fail(
-                f"--rerun-check needs a deterministic scenario; "
-                f"{spec.name!r} runs on a wall-clock backend"
-            )
         again = run_scenario_spec(spec, seed=args.seed, progress=progress)
         if again["digest"] != payload["digest"]:
             print(

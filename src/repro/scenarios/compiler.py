@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
+from ..core.capabilities import COST_METERING, TABLE, WORLD, supports
 from ..experiments.common import build_world, mlless_config, run_mlless
 from ..experiments.settings import make_workload
 from .kpi import (
@@ -111,13 +112,11 @@ def _run_single_job(spec: ScenarioSpec, payload: Dict[str, Any],
                 False if wl.sync != "bsp" and profile is not None else None
             ),
             sync=wl.sync,
-            pipeline_stages=wl.stages if wl.kind == "mlp-pipeline" else 1,
-            micro_batches=(
-                wl.micro_batches if wl.kind == "mlp-pipeline" else 1
-            ),
+            pipeline_stages=wl.stages,  # both 1 unless kind = "mlp-pipeline"
+            micro_batches=wl.micro_batches,
         )
-        tracer = None
-        if wl.backend == "sim":
+        world = tracer = None
+        if supports(WORLD, wl.backend):
             if spec.report.critical_path:
                 from ..trace import Tracer
 
@@ -127,9 +126,7 @@ def _run_single_job(spec: ScenarioSpec, payload: Dict[str, Any],
             # The scenario's pricing table is the billing rate for this
             # world; the default spec reproduces the paper's Table 2.
             world.platform.billing.rate_per_gb_s = spec.pricing.rate_per_gb_s
-            result = run_mlless(config, world=world)
-        else:
-            result = run_mlless(config, backend=wl.backend)
+        result = run_mlless(config, world=world, backend=wl.backend)
         runs.append(_single_run_row(spec, result, tracer, workers, v))
     payload["runs"] = runs
     if len(runs) > 1:
@@ -154,7 +151,7 @@ def _single_run_row(spec: ScenarioSpec, result, tracer,
     if wl.kind == "mlp-pipeline":
         row["stages"] = wl.stages
         row["micro_batches"] = wl.micro_batches
-    if wl.backend == "sim":
+    if supports(COST_METERING, wl.backend):
         row["wall_time_s"] = result.wall_time
         row["total_cost_usd"] = result.total_cost
         row["cost_breakdown_usd"] = {
@@ -176,9 +173,7 @@ def _single_run_row(spec: ScenarioSpec, result, tracer,
         if tracer is not None:
             row["critical_path"] = _critical_path_summary(tracer)
     else:
-        row["reconciliation"] = {
-            "skipped": f"no cost metering on backend {wl.backend!r}"
-        }
+        row["reconciliation"] = {"skipped": TABLE[COST_METERING][wl.backend].refused}
     return row
 
 
@@ -207,10 +202,9 @@ def _critical_path_summary(tracer) -> Dict[str, Any]:
 
 def _recommend(runs: List[Dict[str, Any]], speed_tolerance: float) -> Dict[str, Any]:
     """Cheapest config within ``speed_tolerance`` x of the fastest run."""
-    priced = [r for r in runs if "total_cost_usd" in r]
-    pool = priced if priced else runs
-    fastest = min(r["exec_time_s"] for r in pool)
-    eligible = [r for r in pool if r["exec_time_s"] <= speed_tolerance * fastest]
+    # One scenario runs on one backend: every row carries a cost, or none.
+    fastest = min(r["exec_time_s"] for r in runs)
+    eligible = [r for r in runs if r["exec_time_s"] <= speed_tolerance * fastest]
     best = min(
         eligible,
         key=lambda r: (

@@ -21,9 +21,11 @@ Two scenario kinds exist:
 Every key is declared once — a dataclass field whose annotation is the
 type and whose :func:`key` metadata holds default, bounds, choices and
 dump rule — and that table drives the one reader (:func:`_read_keys`)
-and the one dumper (:func:`_dump_keys`) all sections share.  Only rules
-that relate several keys are written by hand: per-section
-``_cross_check`` hooks and :func:`_cross_validate`.
+and the one dumper (:func:`_dump_keys`) all sections share; ``only=``
+ties a key (or a section) to one scenario kind.  Which features combine,
+and on which backend, :mod:`repro.core.capabilities` decides, reported at
+the key that asked.  The few other rules that relate several keys are
+hand-written: per-section ``_cross_check`` hooks and :func:`_cross_validate`.
 
 Specs are pure data with a lossless ``to_dict``/``from_dict`` round
 trip; nothing here touches the filesystem or the clock.
@@ -46,6 +48,8 @@ from typing import (
     get_type_hints,
 )
 
+from ..core import capabilities as cap
+from ..core.config import pipeline_shape_error
 from ..experiments.settings import WORKLOADS
 from ..faults import FAULT_PROFILES, FaultProfile
 
@@ -69,7 +73,7 @@ __all__ = [
 ]
 
 KINDS = ("single-job", "platform")
-BACKENDS = ("sim", "local", "procs")
+BACKENDS = cap.BACKENDS
 WORKLOAD_KINDS = ("data-parallel", "mlp-pipeline")
 SYNC_MODES = ("bsp", "ssp", "adaptive")
 
@@ -99,18 +103,19 @@ class SpecError(ValueError):
 IF_SET = "if-set"
 
 
-def key(default=MISSING, *, ge=None, le=None, choices=None, dump=None):
+def key(default=MISSING, *, ge=None, le=None, choices=None, dump=None, only=None):
     """Declare one spec key on a section dataclass.
 
     The annotation gives the type (``Optional[...]`` = nullable,
     ``Tuple[float, float]`` = a ``[lo, hi]`` range, ``Tuple[x, ...]`` = a
     non-empty list); no ``default`` makes the key required; ``ge``/``le``
     are inclusive bounds (on a range's ``lo``, on every list item);
-    ``choices`` the allowed strings; ``dump`` the dump rule.
+    ``choices`` the allowed strings; ``dump`` the dump rule; ``only`` the
+    one scenario kind in which the key may leave its default.
     """
     return field(
         default=default,
-        metadata={"ge": ge, "le": le, "choices": choices, "dump": dump},
+        metadata={"ge": ge, "le": le, "choices": choices, "dump": dump, "only": only},
     )
 
 
@@ -264,6 +269,8 @@ class _Section:
 
     #: the section's table name, which prefixes its keys in error paths
     _section = ""
+    #: the one scenario kind the whole section belongs to (None = both)
+    _only = None
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], path: str = ""):
@@ -291,6 +298,7 @@ class WorkloadSpec(_Section):
     """One MLLess training job (the ``[workload]`` section)."""
 
     _section = "workload"
+    _only = "single-job"
 
     name: str = key(choices=tuple(WORKLOADS))
     workers: int = key(4, ge=1)
@@ -318,6 +326,7 @@ class SweepSpec(_Section):
     """Config grid for single-job right-sizing sweeps (``[sweep]``)."""
 
     _section = "sweep"
+    _only = "single-job"
 
     #: recommendation picks the cheapest combo within this factor of the
     #: fastest combo's exec time (the ROADMAP's "1.2x of fastest" rule)
@@ -352,6 +361,7 @@ class FaultSpec(_Section):
     """Fault injection (``[faults]``): a named preset or inline rates."""
 
     _section = "faults"
+    _only = "single-job"
 
     profile: Optional[str] = key(None, choices=tuple(FAULT_PROFILES))
     crash_rate: float = _rate()
@@ -391,6 +401,7 @@ class TrafficSpec(_Section):
     """Multi-tenant arrival traffic (``[traffic]``)."""
 
     _section = "traffic"
+    _only = "platform"
 
     tenants: int = key(24, ge=1)
     horizon_s: float = key(7200.0, ge=1.0)
@@ -408,6 +419,7 @@ class JobMixSpec(_Section):
     """Per-tenant job size sampling ranges (``[jobs]``)."""
 
     _section = "jobs"
+    _only = "platform"
 
     min_workers: int = key(1, ge=1)
     max_workers: int = key(4, ge=1)
@@ -432,6 +444,7 @@ class PoolSpec(_Section):
     """Shared-pool shape (``[pool]``)."""
 
     _section = "pool"
+    _only = "platform"
 
     concurrency: int = key(12, ge=1)
     memory_grades_mb: Tuple[int, ...] = key((1024, 2048), ge=128)
@@ -461,8 +474,8 @@ class BudgetSpec(_Section):
     max_cost_usd: Optional[float] = key(None, ge=0.0)
     max_exec_time_s: Optional[float] = key(None, ge=0.0)
     #: platform runs only: p95 queue wait ceiling
-    max_queue_wait_p95_s: Optional[float] = key(None, ge=0.0)
-    require_converged: bool = key(False, dump=IF_SET)
+    max_queue_wait_p95_s: Optional[float] = key(None, ge=0.0, only="platform")
+    require_converged: bool = key(False, dump=IF_SET, only="single-job")
 
 
 @dataclass(frozen=True)
@@ -472,10 +485,9 @@ class ReportSpec(_Section):
     _section = "report"
 
     #: record a span trace and include the critical-path summary
-    #: (single-job sim runs only)
-    critical_path: bool = key(False, dump=IF_SET)
-    #: price the per-job-isolation counterfactual (platform runs only)
-    isolated_baseline: bool = key(False, dump=IF_SET)
+    critical_path: bool = key(False, dump=IF_SET, only="single-job")
+    #: price the per-job-isolation counterfactual
+    isolated_baseline: bool = key(False, dump=IF_SET, only="platform")
 
 
 # -- the top-level spec -----------------------------------------------------
@@ -504,16 +516,14 @@ class ScenarioSpec:
     report: ReportSpec = field(default_factory=ReportSpec)
 
     @property
-    def deterministic(self) -> bool:
-        """True when two runs at the same seed are bit-identical.
+    def backend(self) -> str:
+        """Where the scenario runs; the platform is simulated."""
+        return "sim" if self.workload is None else self.workload.backend
 
-        The sim backend (and every platform run) is deterministic by
-        construction; the ``local``/``procs`` backends run on real
-        threads/processes and genuine wall-clock time.
-        """
-        if self.kind == "platform":
-            return True
-        return self.workload is not None and self.workload.backend == "sim"
+    @property
+    def deterministic(self) -> bool:
+        """True when two runs at the same seed are bit-identical."""
+        return cap.supports(cap.RERUN, self.backend)
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready nested dict; lossless input to :func:`spec_from_dict`.
@@ -568,142 +578,53 @@ def spec_from_dict(data: Dict[str, Any]) -> ScenarioSpec:
         if section in data:
             kwargs[section] = cls.from_dict(data[section], section)
     spec = ScenarioSpec(**kwargs)
+    _check_only(spec)
     _cross_validate(spec)
     return spec
 
 
+def _check_only(spec: ScenarioSpec) -> None:
+    """A section or key declared ``only=`` one kind is refused in the other."""
+    for name, cls in _SECTIONS.items():
+        section = getattr(spec, name)
+        if section is None:
+            continue
+        if cls._only not in (None, spec.kind):
+            raise SpecError(name, f"is a {cls._only} section; not allowed for {spec.kind!r}")
+        for f, _ in _keys(cls):
+            only = f.metadata["only"]
+            if only not in (None, spec.kind) and getattr(section, f.name) != f.default:
+                raise SpecError(f"{name}.{f.name}", f"only applies to kind = {only!r}")
+
+
+def _features(spec: ScenarioSpec) -> Dict[str, str]:
+    """Capability-table rows a single-job spec switches on -> the key that did."""
+    wl, sweep, faults = spec.workload, spec.sweep, spec.faults
+    asks = (
+        (wl.sync, "workload.sync", wl.sync in (cap.SSP, cap.ADAPTIVE)),
+        (cap.ISP, "sweep.isp_threshold", sweep is not None and any(sweep.isp_threshold)),
+        (cap.ISP, "workload.isp_threshold", wl.isp_threshold != 0.0),
+        (cap.AUTOTUNE, "workload.autotune", wl.autotune),
+        (cap.PIPELINE, "workload.kind", wl.kind == "mlp-pipeline"),
+        (cap.FAULTS, "faults", faults is not None),
+        # a crash is only survivable with the recovery machinery on
+        (cap.CRASH_RECOVERY, "faults",
+         faults is not None and faults.to_profile(spec.name).crash_rate > 0.0),
+        (cap.SWEEP, "sweep", sweep is not None),
+        (cap.TRACING, "report.critical_path", spec.report.critical_path),
+        (cap.COST_METERING, "pricing", spec.pricing != PricingSpec()),
+    )
+    return {row: key for row, key, on in asks if on}
+
+
+#: :func:`pipeline_shape_error`'s field -> the spec key that sets it
+_SHAPE_KEYS = {"model": "workload.kind", "n_workers": "workload.workers",
+               "pipeline_stages": "workload.stages"}
+
+
 def _cross_validate(spec: ScenarioSpec) -> None:
-    """Kind-conditional and cross-section constraints."""
-    if spec.kind == "single-job":
-        if spec.workload is None:
-            raise SpecError("workload", "is required for kind = 'single-job'")
-        for key in ("traffic", "jobs", "pool"):
-            if getattr(spec, key) is not None:
-                raise SpecError(
-                    key, "is a platform section; not allowed for 'single-job'"
-                )
-        wl = spec.workload
-        if wl.kind == "mlp-pipeline":
-            if not hasattr(WORKLOADS[wl.name]().make_model(), "stage_layers"):
-                raise SpecError(
-                    "workload.kind",
-                    f"workload {wl.name!r} is not stageable; "
-                    "'mlp-pipeline' needs a layered model (mlp-synth)",
-                )
-            if wl.stages < 2:
-                raise SpecError(
-                    "workload.stages",
-                    f"must be >= 2 for kind = 'mlp-pipeline', got {wl.stages}",
-                )
-            if wl.workers != wl.stages:
-                raise SpecError(
-                    "workload.workers",
-                    "pipeline mode runs one stage per worker function: "
-                    f"set workers = stages ({wl.stages}), got {wl.workers}",
-                )
-            if wl.sync != "bsp":
-                raise SpecError(
-                    "workload.sync",
-                    "pipeline stages synchronize through the barrier; "
-                    f"sync must be 'bsp', got {wl.sync!r}",
-                )
-            if wl.isp_threshold != 0.0:
-                raise SpecError(
-                    "workload.isp_threshold",
-                    "the significance filter is data-parallel-only; "
-                    "must be 0 for kind = 'mlp-pipeline'",
-                )
-            if wl.autotune:
-                raise SpecError(
-                    "workload.autotune",
-                    "a pipeline cannot scale in; must be false",
-                )
-            if spec.faults is not None:
-                raise SpecError(
-                    "faults", "not supported with kind = 'mlp-pipeline'"
-                )
-            if spec.sweep is not None:
-                raise SpecError(
-                    "sweep", "not supported with kind = 'mlp-pipeline'"
-                )
-            if wl.backend == "procs":
-                raise SpecError(
-                    "workload.backend",
-                    "the procs backend does not run pipeline stages; "
-                    "use 'sim' or 'local'",
-                )
-        elif wl.stages != 1 or wl.micro_batches != 1:
-            raise SpecError(
-                "workload.stages",
-                "stages/micro_batches only apply to kind = 'mlp-pipeline'",
-            )
-        if wl.sync != "bsp":
-            if wl.autotune:
-                raise SpecError(
-                    "workload.autotune",
-                    f"the scale-in auto-tuner requires sync = 'bsp', "
-                    f"got {wl.sync!r}",
-                )
-            if wl.isp_threshold != 0.0:
-                raise SpecError(
-                    "workload.isp_threshold",
-                    f"must be 0 for sync = {wl.sync!r} (ISP rides the "
-                    "BSP barrier)",
-                )
-            if spec.faults is not None and spec.faults.to_profile(
-                spec.name
-            ).crash_rate > 0.0:
-                raise SpecError(
-                    "faults",
-                    f"crash recovery requires sync = 'bsp', got {wl.sync!r}",
-                )
-        backend = spec.workload.backend
-        if backend != "sim":
-            if spec.faults is not None:
-                raise SpecError(
-                    "faults",
-                    f"fault injection needs workload.backend = 'sim', "
-                    f"got {backend!r}",
-                )
-            if spec.report.critical_path:
-                raise SpecError(
-                    "report.critical_path",
-                    f"span tracing needs workload.backend = 'sim', got {backend!r}",
-                )
-            if spec.pricing != PricingSpec():
-                raise SpecError(
-                    "pricing",
-                    f"cost metering needs workload.backend = 'sim', got {backend!r}",
-                )
-        if spec.report.isolated_baseline:
-            raise SpecError(
-                "report.isolated_baseline", "only applies to kind = 'platform'"
-            )
-        if spec.budget.max_queue_wait_p95_s is not None:
-            raise SpecError(
-                "budget.max_queue_wait_p95_s", "only applies to kind = 'platform'"
-            )
-        if spec.sweep is not None:
-            n = len(spec.sweep.combos(spec.workload.workers,
-                                      spec.workload.isp_threshold))
-            if n > MAX_SWEEP_COMBOS:
-                raise SpecError(
-                    "sweep", f"grid has {n} combos; the cap is {MAX_SWEEP_COMBOS}"
-                )
-    else:  # platform
-        for key in ("workload", "sweep", "faults"):
-            if getattr(spec, key) is not None:
-                raise SpecError(
-                    key, "is a single-job section; not allowed for 'platform'"
-                )
-        if spec.report.critical_path:
-            raise SpecError(
-                "report.critical_path", "only applies to kind = 'single-job'"
-            )
-        if spec.budget.require_converged:
-            raise SpecError(
-                "budget.require_converged", "only applies to kind = 'single-job'"
-            )
+    """Cross-section constraints, after :func:`_check_only`."""
+    if spec.kind == "platform":
         jobs = spec.jobs or JobMixSpec()
         pool = spec.pool or PoolSpec()
         if jobs.max_workers > pool.concurrency:
@@ -712,3 +633,30 @@ def _cross_validate(spec: ScenarioSpec) -> None:
                 f"must be <= pool.concurrency ({pool.concurrency}), "
                 f"got {jobs.max_workers} — such a job could never be admitted",
             )
+        return
+    wl = spec.workload
+    if wl is None:
+        raise SpecError("workload", "is required for kind = 'single-job'")
+    asked = _features(spec)
+    try:
+        cap.check(asked, wl.backend)
+    except cap.Refusal as refusal:
+        raise SpecError(asked[refusal.feature], str(refusal)) from refusal
+    if wl.kind == "mlp-pipeline":
+        if wl.stages < 2:
+            raise SpecError(
+                "workload.stages",
+                f"must be >= 2 for kind = 'mlp-pipeline', got {wl.stages}",
+            )
+        problem = pipeline_shape_error(WORKLOADS[wl.name]().make_model(), wl.workers, wl.stages)
+        if problem is not None:
+            raise SpecError(_SHAPE_KEYS[problem[0]], problem[1])
+    elif wl.stages != 1 or wl.micro_batches != 1:
+        raise SpecError(
+            "workload.stages",
+            "stages/micro_batches only apply to kind = 'mlp-pipeline'",
+        )
+    if spec.sweep is not None:
+        n = len(spec.sweep.combos(wl.workers, wl.isp_threshold))
+        if n > MAX_SWEEP_COMBOS:
+            raise SpecError("sweep", f"grid has {n} combos; the cap is {MAX_SWEEP_COMBOS}")

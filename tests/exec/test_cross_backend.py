@@ -181,10 +181,3 @@ def test_procs_ssp_trains_end_to_end():
     assert result.total_steps == 15
     assert np.isfinite(result.final_loss)
     assert result.final_loss < 1.0
-
-
-def test_procs_backend_rejects_sim_only_arguments():
-    from repro.experiments.common import build_world
-
-    with pytest.raises(ValueError, match="simulation world"):
-        run_mlless(pmf_config(), world=build_world(seed=0), backend="procs")

@@ -11,7 +11,6 @@ sides of that difference.
 import multiprocessing as mp
 import queue
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +25,6 @@ from repro.exec.local import (
 )
 from repro.exec.procs import ProcExchange, ProcKVClient, _ControlServer, run_procs_job
 from repro.exec.protocols import Services
-from repro.faults import FAULT_PROFILES
 from repro.storage.errors import StorageError
 
 from .test_cross_backend import pmf_config
@@ -148,10 +146,3 @@ def test_failing_role_raises_with_role_name_and_traceback(backend, monkeypatch):
     assert "_explodes_on_first_step" in message
     assert "RuntimeError: boom on the first step" in message
     assert time.monotonic() - start < 30.0  # consume deadline is 120 s
-
-
-# ---------------------------------------------------------------- refusals
-def test_fault_profiles_are_refused(backend):
-    profile = next(p for p in FAULT_PROFILES.values() if not p.is_noop())
-    with pytest.raises(ValueError, match="cannot inject faults"):
-        JOB_RUNNERS[backend](SimpleNamespace(faults=profile))

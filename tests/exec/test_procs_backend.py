@@ -6,7 +6,8 @@ the shared-memory arena layout, the control-server KV/exchange
 semantics and — the property the parent-held KV server exists to
 provide — checkpoints surviving the death of a role process.  What the
 process backend shares with the thread backend (queue table, role loop,
-refusals, broadcast) is tested once for both in ``test_host_job.py``.
+broadcast) is tested once for both in ``test_host_job.py``; what it
+refuses is a column of ``tests/test_capabilities.py``.
 """
 
 import multiprocessing as mp
@@ -17,6 +18,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import AdaptiveConfig
+from repro.exec import procs
 from repro.exec.local import LocalMessageQueue
 from repro.exec.procs import (
     _SERVER_POLL_S,
@@ -30,6 +33,8 @@ from repro.exec.procs import (
 from repro.ml.parameters import ModelUpdate, ParameterSet
 from repro.ml.sparse import SparseDelta
 from repro.storage.errors import KeyNotFound, StorageError
+
+from .test_cross_backend import pmf_config
 
 SHAPES = {"U": (6, 3), "b": (4,)}
 
@@ -136,6 +141,35 @@ def test_arena_rejects_oversized_and_unknown_tensors(make_arena):
     )
     with pytest.raises(StorageError, match="not negotiated"):
         arena.write_update(0, 0, unknown)
+
+
+@pytest.mark.parametrize(
+    "sync, arenas", [("bsp", 1), ("ssp", 0), ("adaptive", 0)]
+)
+def test_only_jobs_that_never_gossip_negotiate_an_arena(sync, arenas, monkeypatch):
+    """The parity slots hold ``upd/t/w`` over ``upd/(t-2)/w``: safe under
+    the barrier, a data race for a gossip peer ``ssp_staleness`` (2)
+    steps behind.  An adaptive job enters the gossip family mid-job, so
+    it must not get an arena either — and must survive the switch."""
+    built = []
+
+    class CountedArena(ShmArena):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(procs, "ShmArena", CountedArena)
+    # the first skewed barrier after the first one orders the switch
+    eager = AdaptiveConfig(
+        warmup_steps=0, skew_threshold=1e-9, patience=1, max_evictions=0
+    )
+    config = pmf_config(
+        sync=sync, significance_v=0.0, max_steps=12, adaptive=eager
+    )
+    result = procs.run_procs_job(config)
+    assert len(built) == arenas
+    assert result.total_steps == 12 and np.isfinite(result.final_loss)
+    assert len(result.monitor.series("sync_switch")) == (sync == "adaptive")
 
 
 def test_shm_route_classification():

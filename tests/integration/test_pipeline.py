@@ -73,11 +73,6 @@ def test_pipeline_local_backend_matches_sim_loss():
     )
 
 
-def test_procs_backend_rejects_pipeline():
-    with pytest.raises(ValueError, match="procs backend does not support"):
-        run_mlless(pipeline_config(max_steps=2), backend="procs")
-
-
 # -- configuration validation ------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Property-based test: the scenario front door never crashes.
+"""Property-based tests: the scenario front door never crashes, and it
+refuses exactly what ``JobConfig`` + ``run_mlless`` refuse.
 
 For arbitrary nested JSON-like input ``spec_from_dict`` either raises
 ``SpecError`` or returns a spec that survives every round trip the repo
@@ -9,14 +10,38 @@ Pure junk never gets past the section names, so documents are drawn
 table-by-table from the spec's own field table: each key gets a value
 of its declared shape (mostly in range, sometimes a step outside it or
 non-finite) or, now and then, arbitrary junk.
+
+The second property draws a *feature set* x backend instead and asks
+both levels for a verdict: the spec layer (``spec_from_dict``) and the
+run layer (``JobConfig`` + ``run_mlless``) must agree — both accept, or
+both refuse with the same capability-table sentence, blamed on the same
+feature — and nothing but ``SpecError`` / ``Refusal`` may escape.
 """
 
+import contextlib
 import dataclasses
 import typing
+from unittest import mock
 
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from repro import run_mlless
+from repro.core.capabilities import (
+    ADAPTIVE,
+    AUTOTUNE,
+    BACKENDS,
+    CRASH_RECOVERY,
+    FAULTS,
+    ISP,
+    PIPELINE,
+    SSP,
+    TABLE,
+    TRACING,
+    Refusal,
+)
+from repro.exec import local, procs
+from repro.experiments import common
 from repro.scenarios import (
     FaultSpec,
     SpecError,
@@ -27,6 +52,7 @@ from repro.scenarios import (
 )
 
 from ..scenarios.test_spec_table import SINGLE_JOB, keys_of, section_classes, unwrap
+from ..test_capabilities import RECIPES, spec_doc, tiny_job
 
 NAN, INF = float("nan"), float("inf")
 
@@ -164,3 +190,61 @@ def test_spec_from_dict_raises_spec_error_or_round_trips(data):
     except SpecError:
         return  # a description TOML's one-line strings cannot carry
     assert load_spec_text(text, origin="x.toml") == spec
+
+
+# -- one verdict, whichever door the job comes through ----------------------
+
+
+@st.composite
+def feature_sets(draw):
+    """Rows both a spec and a ``JobConfig`` + ``run_mlless`` call can ask for."""
+    asked = draw(st.sets(st.sampled_from(
+        [ISP, AUTOTUNE, PIPELINE, FAULTS, CRASH_RECOVERY, TRACING]
+    )))
+    asked |= draw(st.sampled_from([set(), {SSP}, {ADAPTIVE}]))  # one sync mode
+    if CRASH_RECOVERY in asked:
+        asked.add(FAULTS)  # a spec asks for recovery by asking for crashes
+    return [feature for feature in TABLE if feature in asked]  # recipe order
+
+
+def spec_verdict(asked, backend):
+    try:
+        spec_from_dict(spec_doc(backend, *asked))
+    except SpecError as error:
+        refusal = error.__cause__
+        assert isinstance(refusal, Refusal), error
+        assert error.path == RECIPES[refusal.feature].path
+        assert str(error) == f"{error.path}: {refusal}"
+        return refusal.feature, str(refusal)
+    return None
+
+
+@contextlib.contextmanager
+def nothing_trains():
+    """``run_mlless`` admits the job as usual, then hands it to a stub."""
+    with mock.patch.object(common, "MLLessDriver"), \
+            mock.patch.object(local, "run_local_job"), \
+            mock.patch.object(procs, "run_procs_job"):
+        yield
+
+
+def run_verdict(asked, backend):
+    overrides, extra = {}, {}
+    for feature in asked:
+        recipe = RECIPES[feature]
+        overrides.update(recipe.config or {})
+        extra.update(recipe.run() if recipe.run is not None else {})
+    try:
+        with nothing_trains():
+            run_mlless(tiny_job(**overrides), backend=backend, **extra)
+    except Refusal as refusal:
+        return refusal.feature, str(refusal)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(feature_sets(), st.sampled_from(BACKENDS))
+def test_spec_and_run_layers_give_the_same_verdict(asked, backend):
+    verdict = spec_verdict(asked, backend)
+    assert run_verdict(asked, backend) == verdict
+    event("accepted" if verdict is None else f"refused: {verdict[0]}")

@@ -4,6 +4,19 @@ import dataclasses
 
 import pytest
 
+from repro.core.capabilities import (
+    ADAPTIVE,
+    AUTOTUNE,
+    COST_METERING,
+    CRASH_RECOVERY,
+    FAULTS,
+    ISP,
+    PIPELINE,
+    SSP,
+    SWEEP,
+    TABLE,
+    CONFLICTS,
+)
 from repro.faults import FAULT_PROFILES
 from repro.scenarios import (
     FaultSpec,
@@ -39,6 +52,12 @@ def err(data):
     with pytest.raises(SpecError) as excinfo:
         spec_from_dict(data)
     return str(excinfo.value), excinfo.value.path
+
+
+def conflict(first, second):
+    """The capability table's one sentence for a refused feature pair."""
+    (message,) = [m for a, b, m in CONFLICTS if (a, b) == (first, second)]
+    return message
 
 
 class TestExactMessages:
@@ -143,7 +162,7 @@ class TestCrossValidation:
                 faults={"crash_rate": 0.1},
             )
         )
-        assert "fault injection needs workload.backend = 'sim'" in msg
+        assert msg == f"faults: {TABLE[FAULTS]['local'].refused}"
 
     def test_pricing_needs_sim_backend(self):
         msg, _ = err(
@@ -152,7 +171,7 @@ class TestCrossValidation:
                 pricing={"rate_per_gb_s": 2e-5},
             )
         )
-        assert "cost metering needs workload.backend = 'sim'" in msg
+        assert msg == f"pricing: {TABLE[COST_METERING]['procs'].refused}"
 
     def test_default_pricing_ok_on_local_backend(self):
         spec = spec_from_dict(
@@ -257,11 +276,20 @@ class TestPipelineValidation:
     def test_pipeline_workers_must_equal_stages(self):
         msg, path = err(minimal_single_job(workload=pipeline_workload(workers=4)))
         assert path == "workload.workers"
-        assert "set workers = stages (3), got 4" in msg
+        assert "n_workers (4) must equal pipeline_stages (3)" in msg
+
+    def test_pipeline_depth_capped_by_layer_count(self):
+        # used to get past the spec and fail as a bare ValueError at run time
+        msg, path = err(minimal_single_job(
+            workload=pipeline_workload(workers=5, stages=5)
+        ))
+        assert path == "workload.stages"
+        assert "n_stages must be in [1, 4], got 5" in msg
 
     def test_pipeline_requires_bsp(self):
         msg, _ = err(minimal_single_job(workload=pipeline_workload(sync="ssp")))
-        assert "sync must be 'bsp', got 'ssp'" in msg
+        assert msg == f"workload.sync: {conflict(PIPELINE, SSP)}"
+        assert "sync must be 'bsp'" in msg
 
     def test_pipeline_rejects_isp_filter(self):
         msg, path = err(
@@ -272,24 +300,26 @@ class TestPipelineValidation:
 
     def test_pipeline_rejects_autotune(self):
         msg, _ = err(minimal_single_job(workload=pipeline_workload(autotune=True)))
-        assert msg == "workload.autotune: a pipeline cannot scale in; must be false"
+        assert msg == f"workload.autotune: {conflict(PIPELINE, AUTOTUNE)}"
 
     def test_pipeline_rejects_faults_and_sweep(self):
-        msg, path = err(minimal_single_job(workload=pipeline_workload(),
-                                           faults={"crash_rate": 0.1}))
-        assert (path, msg) == ("faults",
-                              "faults: not supported with kind = 'mlp-pipeline'")
+        for faults, feature in (({"crash_rate": 0.1}, CRASH_RECOVERY),
+                                ({"straggler_rate": 0.1}, FAULTS)):
+            msg, path = err(minimal_single_job(workload=pipeline_workload(),
+                                               faults=faults))
+            assert (path, msg) == ("faults",
+                                  f"faults: {conflict(PIPELINE, feature)}")
         msg, path = err(minimal_single_job(workload=pipeline_workload(),
                                            sweep={"workers": [2, 4]}))
-        assert (path, msg) == ("sweep",
-                              "sweep: not supported with kind = 'mlp-pipeline'")
+        assert (path, msg) == ("sweep", f"sweep: {conflict(PIPELINE, SWEEP)}")
 
     def test_pipeline_rejects_procs_backend(self):
         msg, path = err(
             minimal_single_job(workload=pipeline_workload(backend="procs"))
         )
-        assert path == "workload.backend"
-        assert "use 'sim' or 'local'" in msg
+        # reported at the key that asked for the feature the backend lacks
+        assert path == "workload.kind"
+        assert msg == f"workload.kind: {TABLE[PIPELINE]['procs'].refused}"
 
     def test_stages_are_pipeline_only(self):
         msg, path = err(
@@ -324,14 +354,29 @@ class TestSyncModeValidation:
             workload={"name": "pmf-ml10m", "sync": "adaptive", "autotune": True}
         ))
         assert path == "workload.autotune"
-        assert "requires sync = 'bsp'" in msg
+        assert msg == f"workload.autotune: {conflict(ADAPTIVE, AUTOTUNE)}"
 
     def test_non_bsp_rejects_isp_threshold(self):
-        msg, path = err(minimal_single_job(
+        # ISP over SSP trains to convergence in tier-1; only adaptive,
+        # which no test runs filtered, refuses the threshold.
+        ssp = spec_from_dict(minimal_single_job(
             workload={"name": "pmf-ml10m", "sync": "ssp", "isp_threshold": 0.5}
         ))
+        assert ssp.workload.isp_threshold == 0.5
+        msg, path = err(minimal_single_job(
+            workload={"name": "pmf-ml10m", "sync": "adaptive",
+                      "isp_threshold": 0.5}
+        ))
         assert path == "workload.isp_threshold"
-        assert "ISP rides the" in msg
+        assert msg == f"workload.isp_threshold: {conflict(ADAPTIVE, ISP)}"
+
+    def test_sweeping_the_isp_threshold_counts_as_isp(self):
+        msg, path = err(minimal_single_job(
+            workload={"name": "pmf-ml10m", "sync": "adaptive"},
+            sweep={"isp_threshold": [0.0, 0.5]},
+        ))
+        assert path == "sweep.isp_threshold"
+        assert msg == f"sweep.isp_threshold: {conflict(ADAPTIVE, ISP)}"
 
     def test_non_bsp_rejects_crash_faults_but_allows_stragglers(self):
         msg, path = err(minimal_single_job(
@@ -339,7 +384,7 @@ class TestSyncModeValidation:
             faults={"crash_rate": 0.1},
         ))
         assert path == "faults"
-        assert "crash recovery requires sync = 'bsp'" in msg
+        assert msg == f"faults: {conflict(ADAPTIVE, CRASH_RECOVERY)}"
         spec = spec_from_dict(minimal_single_job(
             workload={"name": "pmf-ml10m", "sync": "adaptive"},
             faults={"straggler_rate": 0.3},

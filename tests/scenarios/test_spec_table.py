@@ -5,7 +5,8 @@ and of each section class, so a key added to the table is covered here
 without a new test.  For each key: a wrong type, ``null``, NaN/inf (for
 numeric keys), one below ``ge``, one above ``le`` and a value outside
 ``choices`` must each raise ``SpecError`` whose ``.path`` is exactly
-``section.key``.
+``section.key``; a key or section declared ``only=`` one scenario kind
+must be refused, at its own path, in a document of the other kind.
 """
 
 import copy
@@ -214,6 +215,69 @@ def test_named_fault_profile_refuses_inline_keys_off_their_default(name, value):
     default = FaultSpec.__dataclass_fields__[name].default
     doc["faults"][name] = list(default) if isinstance(default, tuple) else default
     assert spec_from_dict(doc).faults == FaultSpec(profile="crash")
+
+
+# -- only= : keys and sections that belong to one scenario kind --------------
+
+BY_KIND = {"single-job": SINGLE_JOB, "platform": PLATFORM}
+ONLY_KEYS = [k for k in KEYS if k[1].metadata["only"] is not None]
+ONLY_SECTIONS = {
+    name: cls._only for name, cls in section_classes().items()
+    if getattr(cls, "_only", None) is not None
+}
+#: the least each kind-bound section accepts
+SMALLEST = {"workload": {"name": "pmf-ml10m"}, "sweep": {"workers": [2]}}
+
+
+def other_kind(kind):
+    (other,) = set(BY_KIND) - {kind}
+    return other
+
+
+def test_every_kind_bound_key_and_section_is_declared():
+    assert sorted(f"{s}.{f.name}" for s, f, _ in ONLY_KEYS) == [
+        "budget.max_queue_wait_p95_s", "budget.require_converged",
+        "report.critical_path", "report.isolated_baseline",
+    ]
+    assert ONLY_SECTIONS == {
+        "workload": "single-job", "sweep": "single-job", "faults": "single-job",
+        "traffic": "platform", "jobs": "platform", "pool": "platform",
+    }
+
+
+@pytest.mark.parametrize(
+    "section,f,hint", ONLY_KEYS,
+    ids=[i for i, k in zip(KEY_IDS, KEYS) if k in ONLY_KEYS],
+)
+def test_kind_only_key_is_rejected_in_the_other_kind(section, f, hint):
+    only = f.metadata["only"]
+    off_default = True if unwrap(hint) is bool else 10.0
+    doc = copy.deepcopy(BY_KIND[other_kind(only)])
+    doc[section] = {f.name: off_default}
+    with pytest.raises(SpecError) as excinfo:
+        spec_from_dict(doc)
+    assert excinfo.value.path == f"{section}.{f.name}"
+    assert str(excinfo.value) == (
+        f"{section}.{f.name}: only applies to kind = {only!r}"
+    )
+    # written out at its default it is inert; in its own kind it is live
+    doc[section] = {f.name: f.default}
+    spec_from_dict(doc)
+    own = copy.deepcopy(BY_KIND[only])
+    own[section] = {f.name: off_default}
+    assert getattr(getattr(spec_from_dict(own), section), f.name) == off_default
+
+
+@pytest.mark.parametrize("section", list(ONLY_SECTIONS))
+def test_kind_only_section_is_rejected_in_the_other_kind(section):
+    only = ONLY_SECTIONS[section]
+    doc = copy.deepcopy(BY_KIND[other_kind(only)])
+    doc[section] = SMALLEST.get(section, {})
+    with pytest.raises(SpecError) as excinfo:
+        spec_from_dict(doc)
+    assert str(excinfo.value) == (
+        f"{section}: is a {only} section; not allowed for {other_kind(only)!r}"
+    )
 
 
 # -- by-name lowering reaches every key -------------------------------------
