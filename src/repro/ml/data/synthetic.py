@@ -43,6 +43,13 @@ __all__ = [
 ]
 
 
+def _check_at_least(spec, floor, *fields: str) -> None:
+    for name in fields:
+        value = getattr(spec, name)
+        if not value >= floor:
+            raise ValueError(f"{name} must be >= {floor}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CriteoSpec:
     """Shape of a Criteo-like dataset (defaults scaled for laptop runs)."""
@@ -60,6 +67,35 @@ class CriteoSpec:
     #: (§6.2's explanation for ISP's modest gains on LR).
     zipf_a: float = 1.4
 
+    def __post_init__(self):
+        _check_at_least(
+            self, 1, "n_samples", "n_categorical", "n_hash_buckets", "batch_size"
+        )
+        _check_at_least(self, 0, "n_numeric")
+        for name in ("positive_rate", "label_noise"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
+def _planted_logits(
+    numeric: np.ndarray, w_numeric: np.ndarray, weights: np.ndarray, keep: np.ndarray
+) -> np.ndarray:
+    """``numeric[i] @ w_numeric + weights[i][keep[i]].sum()`` for every row.
+
+    A label thresholds a uniform draw on this value, so both terms keep
+    the per-row float association: one BLAS dot per row (gemv and einsum
+    round differently), and NumPy's pairwise sum over exactly the kept
+    weights -- taken per group of rows that keep equally many, because
+    zero-padding to a common width would re-associate the sum.
+    """
+    logits = np.array([row @ w_numeric for row in numeric])
+    n_terms = keep.sum(axis=1)
+    for k in np.unique(n_terms):
+        rows = np.flatnonzero(n_terms == k)
+        logits[rows] += weights[rows][keep[rows]].reshape(len(rows), k).sum(axis=1)
+    return logits
+
 
 def criteo_like(spec: CriteoSpec = CriteoSpec(), seed: int = 0) -> Dataset:
     """Sparse CTR dataset from a planted logistic model.
@@ -68,59 +104,67 @@ def criteo_like(spec: CriteoSpec = CriteoSpec(), seed: int = 0) -> Dataset:
     [0, 1]) followed by ``n_categorical`` one-hot hashed columns.  The
     label is Bernoulli from a planted weight vector, with ``label_noise``
     flips, and the intercept is tuned to hit ``positive_rate``.
+
+    The RNG draw order is the dataset's identity.  Before the batches:
+    ``normal``, ``choice(replace=False)``, ``normal``, then one
+    ``permutation`` per field.  Per batch: ``uniform(0, 1, (n, n_numeric))``,
+    one ``random(n)`` per field in field order, ``uniform(size=n)`` for the
+    labels, ``uniform(size=n)`` for the flips.  The intercept comes from
+    the first batch only.
     """
     rng = np.random.default_rng(seed)
-    n_features = spec.n_numeric + spec.n_hash_buckets
+    n_numeric, n_buckets = spec.n_numeric, spec.n_hash_buckets
+    n_features = n_numeric + n_buckets
     # Planted model: numeric weights strong, categorical weights sparse.
     w_true = np.zeros(n_features)
-    w_true[: spec.n_numeric] = rng.normal(0, 1.5, spec.n_numeric)
-    hot = rng.choice(
-        spec.n_hash_buckets, size=spec.n_hash_buckets // 5, replace=False
-    )
-    w_true[spec.n_numeric + hot] = rng.normal(0, 1.0, len(hot))
+    w_true[:n_numeric] = rng.normal(0, 1.5, n_numeric)
+    hot = rng.choice(n_buckets, size=n_buckets // 5, replace=False)
+    w_true[n_numeric + hot] = rng.normal(0, 1.0, len(hot))
 
     # Zipf popularity over categorical values, independently permuted per
-    # field so fields do not share hot buckets.
-    ranks = np.arange(1, spec.n_hash_buckets + 1, dtype=np.float64)
+    # field so fields do not share hot buckets.  Inverse-CDF sampling is
+    # what ``Generator.choice(p=...)`` does, minus rebuilding the CDF for
+    # every field of every batch.
+    ranks = np.arange(1, n_buckets + 1, dtype=np.float64)
     popularity = ranks ** (-spec.zipf_a)
     popularity /= popularity.sum()
-    field_perms = [
-        rng.permutation(spec.n_hash_buckets) for _ in range(spec.n_categorical)
-    ]
+    cdf = popularity.cumsum()
+    cdf /= cdf[-1]
+    field_perms = [rng.permutation(n_buckets) for _ in range(spec.n_categorical)]
 
     batches: List[LRBatch] = []
     intercept = None
     for start in range(0, spec.n_samples, spec.batch_size):
         n = min(spec.batch_size, spec.n_samples - start)
-        numeric = rng.uniform(0.0, 1.0, (n, spec.n_numeric))
+        numeric = rng.uniform(0.0, 1.0, (n, n_numeric))
         cats = np.column_stack(
-            [
-                field_perms[f][
-                    rng.choice(spec.n_hash_buckets, size=n, p=popularity)
-                ]
-                for f in range(spec.n_categorical)
-            ]
+            [perm[cdf.searchsorted(rng.random(n), side="right")]
+             for perm in field_perms]
         )
-        rows = []
-        logits = np.zeros(n)
-        for i in range(n):
-            cat_cols = spec.n_numeric + np.unique(cats[i])
-            idx = np.concatenate([np.arange(spec.n_numeric), cat_cols])
-            val = np.concatenate([numeric[i], np.ones(len(cat_cols))])
-            rows.append((idx, val))
-            logits[i] = numeric[i] @ w_true[: spec.n_numeric] + w_true[
-                cat_cols
-            ].sum()
+        # A row keeps each bucket once (fields collide), ascending.
+        cats.sort(axis=1)
+        fresh = np.ones(cats.shape, dtype=bool)
+        fresh[:, 1:] = cats[:, 1:] != cats[:, :-1]
+        cols = np.hstack([np.tile(np.arange(n_numeric), (n, 1)), n_numeric + cats])
+        vals = np.hstack([numeric, np.ones(cats.shape)])
+        keep = np.hstack([np.ones(numeric.shape, dtype=bool), fresh])
+        X = CSRMatrix(
+            np.concatenate([[0], keep.sum(axis=1).cumsum()]),
+            cols[keep],  # row-major selection is CSR order
+            vals[keep],
+            (n, n_features),
+        )
+        logits = _planted_logits(
+            numeric, w_true[:n_numeric], w_true[n_numeric + cats], fresh
+        )
         if intercept is None:
             # Shift logits so the marginal positive rate is as requested.
-            intercept = float(
-                np.quantile(logits, 1.0 - spec.positive_rate)
-            )
+            intercept = float(np.quantile(logits, 1.0 - spec.positive_rate))
         probs = 1.0 / (1.0 + np.exp(-(logits - intercept)))
         y = (rng.uniform(size=n) < probs).astype(np.float64)
         flips = rng.uniform(size=n) < spec.label_noise
         y[flips] = 1.0 - y[flips]
-        batches.append(LRBatch(CSRMatrix.from_rows(rows, n_features), y))
+        batches.append(LRBatch(X, y))
     return Dataset(batches, name=f"criteo-like-{spec.n_samples}")
 
 
@@ -135,6 +179,12 @@ class MLPSpec:
     n_outputs: int = 1
     batch_size: int = 400
     noise: float = 0.1
+
+    def __post_init__(self):
+        _check_at_least(self, 1, "n_samples", "n_features", "n_outputs", "batch_size")
+        _check_at_least(self, 0, "noise")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden!r}")
 
 
 def mlp_synth(spec: MLPSpec = MLPSpec(), seed: int = 0) -> Dataset:
@@ -169,11 +219,7 @@ def mlp_synth(spec: MLPSpec = MLPSpec(), seed: int = 0) -> Dataset:
 
 @dataclass(frozen=True)
 class MovieLensSpec:
-    """Shape of a MovieLens-like dataset (defaults scaled for laptop runs).
-
-    ``ml10m_scaled`` / ``ml20m_scaled`` build specs with the 10M/20M
-    user:movie proportions at a configurable scale.
-    """
+    """Shape of a MovieLens-like dataset (defaults scaled for laptop runs)."""
 
     n_users: int = 1_200
     n_movies: int = 800
@@ -183,27 +229,11 @@ class MovieLensSpec:
     noise: float = 0.4
     zipf_a: float = 1.3
 
-    @staticmethod
-    def ml10m_scaled(scale: float = 0.02, **overrides) -> "MovieLensSpec":
-        """ML-10M proportions (10,681 users : 71,567 movies is inverted in
-        the paper's table; we keep users < movies as published)."""
-        kwargs = dict(
-            n_users=max(int(10_681 * scale), 20),
-            n_movies=max(int(7_157 * scale), 20),
-            n_ratings=max(int(10_000_000 * scale * scale), 2_000),
+    def __post_init__(self):
+        _check_at_least(
+            self, 1, "n_users", "n_movies", "n_ratings", "rank", "batch_size"
         )
-        kwargs.update(overrides)
-        return MovieLensSpec(**kwargs)
-
-    @staticmethod
-    def ml20m_scaled(scale: float = 0.02, **overrides) -> "MovieLensSpec":
-        kwargs = dict(
-            n_users=max(int(27_278 * scale), 20),
-            n_movies=max(int(13_849 * scale), 20),
-            n_ratings=max(int(20_000_000 * scale * scale), 2_000),
-        )
-        kwargs.update(overrides)
-        return MovieLensSpec(**kwargs)
+        _check_at_least(self, 0, "noise")
 
 
 def movielens_like(

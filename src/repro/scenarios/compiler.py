@@ -85,6 +85,7 @@ def _run_single_job(spec: ScenarioSpec, payload: Dict[str, Any],
         spec.faults.to_profile(spec.name) if spec.faults is not None else None
     )
     workload = make_workload(wl.name)
+    dataset = None  # built by the first point, reused (immutable) by the rest
     runs: List[Dict[str, Any]] = []
     for workers, v in combos:
         if progress is not None:
@@ -105,6 +106,7 @@ def _run_single_job(spec: ScenarioSpec, payload: Dict[str, Any],
             target_loss=wl.target_loss,
             max_steps=wl.max_steps,
             seed=spec.seed,
+            dataset=dataset,
             faults=profile,
             # Adaptive owns its own straggler response; the spec layer
             # already rejects crash rates for non-BSP syncs.
@@ -115,6 +117,7 @@ def _run_single_job(spec: ScenarioSpec, payload: Dict[str, Any],
             pipeline_stages=wl.stages,  # both 1 unless kind = "mlp-pipeline"
             micro_batches=wl.micro_batches,
         )
+        dataset = config.dataset
         world = tracer = None
         if supports(WORLD, wl.backend):
             if spec.report.critical_path:

@@ -1,14 +1,16 @@
 """Property-based tests: every hot-path fast path is bit-identical.
 
 The performance work (cached matvec/rmatvec state, the SciPy matvec
-handle, n-way merges, fused peer application, buffer-copy snapshots)
-is only admissible because each fast path produces **byte-for-byte**
-the same floats as the naive formulation it replaced — the determinism
-oracle checks the end-to-end property, these tests check each kernel
-in isolation so a violation is pinpointed, not just detected.
+handle, n-way merges, fused peer application, buffer-copy snapshots,
+the batch-level ``criteo_like`` generator) is only admissible because
+each fast path produces **byte-for-byte** the same floats as the naive
+formulation it replaced — the determinism oracle checks the end-to-end
+property, these tests check each kernel in isolation so a violation is
+pinpointed, not just detected.
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,10 @@ from hypothesis import strategies as st
 
 from repro.core.runtime import WorkerCheckpoint
 from repro.core.significance import SignificanceFilter
+from repro.experiments.settings import _CRITEO_SPEC
 from repro.ml import ModelUpdate, ParameterSet
+from repro.ml.data import CriteoSpec, Dataset, LRBatch, criteo_like
+from repro.ml.data.synthetic import _planted_logits
 from repro.ml.models import PMF
 from repro.ml.optim import SGD, AdaGrad, Adam, MomentumSGD, RMSProp
 from repro.ml.sparse import CSRMatrix, SparseDelta, flat_nonzero
@@ -439,3 +444,121 @@ def test_optimizer_update_carries_gradient_support(make, grad):
         assert update.shape == grad.shape
         assert update.values.dtype == np.float64 and update.values.shape == grad.values.shape
         assert update.has_sorted_unique_indices == sorted_unique
+
+
+# -- criteo_like: batch-level array code == per-row formulation ------------
+def naive_criteo_like(spec, seed):
+    """The per-row generator the batch-level one replaced (reference).
+
+    Kept here, unchanged: one ``Generator.choice(p=...)`` per field and
+    batch, one ``np.unique`` / 13-term dot / fancy-indexed sum per sample,
+    rows assembled by ``CSRMatrix.from_rows``.
+    """
+    rng = np.random.default_rng(seed)
+    n_features = spec.n_numeric + spec.n_hash_buckets
+    # Planted model: numeric weights strong, categorical weights sparse.
+    w_true = np.zeros(n_features)
+    w_true[: spec.n_numeric] = rng.normal(0, 1.5, spec.n_numeric)
+    hot = rng.choice(
+        spec.n_hash_buckets, size=spec.n_hash_buckets // 5, replace=False
+    )
+    w_true[spec.n_numeric + hot] = rng.normal(0, 1.0, len(hot))
+
+    # Zipf popularity over categorical values, independently permuted per
+    # field so fields do not share hot buckets.
+    ranks = np.arange(1, spec.n_hash_buckets + 1, dtype=np.float64)
+    popularity = ranks ** (-spec.zipf_a)
+    popularity /= popularity.sum()
+    field_perms = [
+        rng.permutation(spec.n_hash_buckets) for _ in range(spec.n_categorical)
+    ]
+
+    batches = []
+    intercept = None
+    for start in range(0, spec.n_samples, spec.batch_size):
+        n = min(spec.batch_size, spec.n_samples - start)
+        numeric = rng.uniform(0.0, 1.0, (n, spec.n_numeric))
+        cats = np.column_stack(
+            [
+                field_perms[f][
+                    rng.choice(spec.n_hash_buckets, size=n, p=popularity)
+                ]
+                for f in range(spec.n_categorical)
+            ]
+        )
+        rows = []
+        logits = np.zeros(n)
+        for i in range(n):
+            cat_cols = spec.n_numeric + np.unique(cats[i])
+            idx = np.concatenate([np.arange(spec.n_numeric), cat_cols])
+            val = np.concatenate([numeric[i], np.ones(len(cat_cols))])
+            rows.append((idx, val))
+            logits[i] = numeric[i] @ w_true[: spec.n_numeric] + w_true[
+                cat_cols
+            ].sum()
+        if intercept is None:
+            # Shift logits so the marginal positive rate is as requested.
+            intercept = float(
+                np.quantile(logits, 1.0 - spec.positive_rate)
+            )
+        probs = 1.0 / (1.0 + np.exp(-(logits - intercept)))
+        y = (rng.uniform(size=n) < probs).astype(np.float64)
+        flips = rng.uniform(size=n) < spec.label_noise
+        y[flips] = 1.0 - y[flips]
+        batches.append(LRBatch(CSRMatrix.from_rows(rows, n_features), y))
+    return Dataset(batches, name=f"criteo-like-{spec.n_samples}")
+
+
+_TINY = CriteoSpec(n_samples=230, batch_size=64, n_hash_buckets=300, n_categorical=6)
+
+#: label -> (spec, seeds).  The tiny specs walk the shape edges; the wide
+#: one has rows of >= 8 and >= 16 unique categorical terms, where NumPy's
+#: pairwise summation stops being a left-to-right loop; seed 4 of the
+#: committed spec was not used while the generator was rewritten.
+CRITEO_CASES = {
+    "ragged-last-batch": (_TINY, (0, 1, 2)),
+    "batch-size-1": (replace(_TINY, n_samples=9, batch_size=1), (0, 1, 2)),
+    "no-numeric": (replace(_TINY, n_numeric=0), (0, 1, 2)),
+    "one-field": (replace(_TINY, n_categorical=1), (0, 1, 2)),
+    "every-row-collides": (replace(_TINY, n_hash_buckets=4), (0, 1, 2)),
+    "uniform-popularity": (replace(_TINY, zipf_a=0.0), (0, 1, 2)),
+    "wide-rows": (
+        CriteoSpec(n_samples=700, batch_size=256, n_hash_buckets=20_000,
+                   n_categorical=40),
+        (0, 1, 2),
+    ),
+    "lr-criteo": (_CRITEO_SPEC, (1, 4)),
+    "table3-b250": (replace(_CRITEO_SPEC, batch_size=250), (1,)),
+}
+
+
+@pytest.mark.parametrize("case", CRITEO_CASES)
+def test_criteo_like_equals_per_row_formulation(case):
+    spec, seeds = CRITEO_CASES[case]
+    for seed in seeds:
+        fast, naive = criteo_like(spec, seed=seed), naive_criteo_like(spec, seed)
+        assert fast.name == naive.name
+        assert len(fast) == len(naive)
+        for got, want in zip(fast, naive):
+            assert got.X.shape == want.X.shape
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(got.X, attr), getattr(want.X, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+            assert got.y.dtype == want.y.dtype
+            assert got.y.tobytes() == want.y.tobytes()
+
+
+def test_planted_logits_keep_the_per_row_float_association():
+    """A last-ulp logit error flips a label about once in 1e16 rows, so the
+    dataset comparison above cannot see it; the logits are held directly."""
+    rng = np.random.default_rng(0)
+    n, n_numeric, n_fields = 4_000, 13, 40
+    numeric = rng.uniform(size=(n, n_numeric))
+    w_numeric = rng.normal(0, 1.5, n_numeric)
+    weights = rng.normal(size=(n, n_fields))
+    keep = rng.random((n, n_fields)) < rng.random((n, 1))  # 0 .. 40 terms a row
+    want = np.array(
+        [numeric[i] @ w_numeric + weights[i][keep[i]].sum() for i in range(n)]
+    )
+    got = _planted_logits(numeric, w_numeric, weights, keep)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

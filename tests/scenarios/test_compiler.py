@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.experiments.settings import Workload
 from repro.scenarios import run_scenario_spec, spec_from_dict
 from repro.scenarios.compiler import KPI_SCHEMA, _jsonify, _recommend
 
@@ -71,13 +72,21 @@ def test_faults_flow_into_kpis():
     assert run["faults_injected"] >= run["faults_recovered"]
 
 
-def test_sweep_produces_rows_and_recommendation():
+def test_sweep_produces_rows_and_recommendation(monkeypatch):
     data = {
         "scenario": {"name": "quick-sweep", "kind": "single-job", "seed": 3},
         "workload": {"name": "pmf-ml10m", "workers": 2, "max_steps": 5},
         "sweep": {"workers": [2, 3]},
     }
+    built, build = [], Workload.dataset
+
+    def counting_build(workload, seed=0):
+        built.append(seed)
+        return build(workload, seed)
+
+    monkeypatch.setattr(Workload, "dataset", counting_build)
     payload = run_quick(data)
+    assert built == [1]  # one immutable dataset serves every sweep point
     assert [r["workers"] for r in payload["runs"]] == [2, 3]
     rec = payload["recommendation"]
     assert rec["workers"] in (2, 3)

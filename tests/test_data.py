@@ -7,6 +7,7 @@ from repro.ml.data import (
     CriteoSpec,
     Dataset,
     LRBatch,
+    MLPSpec,
     MovieLensSpec,
     PMFBatch,
     combine_stats,
@@ -104,13 +105,42 @@ def test_movielens_popularity_skewed():
     assert counts.max() > 5 * max(np.median(counts), 1)
 
 
-def test_movielens_scaled_specs():
-    s10 = MovieLensSpec.ml10m_scaled(scale=0.01)
-    s20 = MovieLensSpec.ml20m_scaled(scale=0.01)
-    assert s20.n_users > s10.n_users
-    assert s20.n_movies > s10.n_movies
-    s_override = MovieLensSpec.ml10m_scaled(scale=0.01, rank=3)
-    assert s_override.rank == 3
+# ------------------------------------------------------------------- specs
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (CriteoSpec, "n_samples", 0),
+        (CriteoSpec, "n_numeric", -1),
+        (CriteoSpec, "n_categorical", 0),
+        (CriteoSpec, "n_hash_buckets", 0),
+        (CriteoSpec, "batch_size", 0),
+        (CriteoSpec, "batch_size", -5),
+        (CriteoSpec, "positive_rate", 1.5),
+        (CriteoSpec, "label_noise", 2.0),
+        (CriteoSpec, "label_noise", float("nan")),
+        (MovieLensSpec, "n_users", 0),
+        (MovieLensSpec, "n_movies", 0),
+        (MovieLensSpec, "n_ratings", 0),
+        (MovieLensSpec, "rank", 0),
+        (MovieLensSpec, "batch_size", 0),
+        (MovieLensSpec, "noise", -0.1),
+        (MLPSpec, "n_samples", 0),
+        (MLPSpec, "n_features", 0),
+        (MLPSpec, "hidden", (24, 0)),
+        (MLPSpec, "n_outputs", 0),
+        (MLPSpec, "batch_size", 0),
+        (MLPSpec, "noise", -1.0),
+    ],
+)
+def test_dataset_specs_refuse_out_of_range_fields_by_name(make, field, value):
+    with pytest.raises(ValueError, match=field):
+        make(**{field: value})
+
+
+def test_dataset_specs_accept_the_range_edges():
+    CriteoSpec(n_numeric=0, n_categorical=1, positive_rate=0.0, label_noise=1.0)
+    MovieLensSpec(rank=1, noise=0.0)
+    MLPSpec(hidden=(), noise=0.0)
 
 
 # ----------------------------------------------------------------- dataset

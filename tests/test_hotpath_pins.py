@@ -1,6 +1,6 @@
 """Bit-exact pins on the hot paths: sparse kernels, n-way merges, the
 scatter-add, peer application, checkpoint snapshots, the micro-batch
-split and DES delivery order.
+split, DES delivery order and the named workloads' datasets.
 
 Every fast path in ``repro.ml.sparse`` / ``repro.sim.core`` claims to be
 bit-identical to a naive reference; these digests hold it to that on
@@ -14,7 +14,11 @@ dozen features per row); the deltas and updates are ISP-filtered
 PMF/LR broadcasts (a few thousand touched entries over a large
 tensor).  The DES machines mimic the training machines' event mix and
 append small-int markers to a log whose hash is the pin, so any
-delivery-order drift changes it.
+delivery-order drift changes it.  The dataset pins hold every array of
+every batch of each named workload (RNG draw order is the dataset's
+identity).  Inputs and datasets come from NumPy ``Generator`` streams,
+so a failure prints ``numpy.__version__``: a stream change in NumPy
+reads as that, not as a mystery digest diff.
 """
 
 import functools
@@ -25,7 +29,8 @@ import pytest
 
 from repro.core.runtime import WorkerCheckpoint
 from repro.core.significance import SignificanceFilter
-from repro.ml.data import DenseBatch
+from repro.experiments.settings import make_workload
+from repro.ml.data import DenseBatch, LRBatch, PMFBatch
 from repro.ml.models import LayeredMLP
 from repro.ml.optim import InverseSqrtLR, MomentumSGD
 from repro.ml.parameters import ModelUpdate, ParameterSet
@@ -263,6 +268,26 @@ def _mixed_horizon():
     return _run_and_hash(env, log)
 
 
+# -- named workloads' datasets ---------------------------------------------
+_BATCH_PARTS = {
+    LRBatch: lambda b: (repr(b.X.shape), b.X.indptr, b.X.indices, b.X.data, b.y),
+    PMFBatch: lambda b: (b.users, b.movies, b.ratings),
+    DenseBatch: lambda b: (b.x, b.y),
+}
+
+
+def _dataset(name, seed):
+    """Every array (bytes, dtype, shape) of every batch, plus the name."""
+    dataset = make_workload(name).dataset(seed=seed)
+    chunks = [dataset.name, repr(len(dataset))]
+    for batch in dataset:
+        for part in _BATCH_PARTS[type(batch)](batch):
+            if isinstance(part, np.ndarray):
+                chunks.append(repr((part.dtype.str, part.shape)))
+            chunks.append(part)
+    return sha_chunks(*chunks)
+
+
 PINS = {
     "kernel.matvec": (
         _matvec, "e0987a3992f4bf4dd70d69ed34236da9463d8ab7b83d365b07890c398f4010e9"),
@@ -294,10 +319,26 @@ PINS = {
     "simkernel.mixed_horizon_371k": (
         _mixed_horizon,
         "5bb71a6909b6327530aed0293998fd208dec78b7af7aa84750ef2e1d13ca5614"),
+    "dataset.lr-criteo.seed1": (
+        functools.partial(_dataset, "lr-criteo", 1),
+        "52b6bb3e0e58a3ba9ecedfcfd009e586f1dd462cebd9e5fdeab9d57a6392f7c3"),
+    # benchmarks/e2e builds ``1 + seed``: this is its seed-1 dataset
+    "dataset.lr-criteo.seed2": (
+        functools.partial(_dataset, "lr-criteo", 2),
+        "d8ec2701b42fe79f69940536527792e5aa17bbd1aacea84e1ca1ebf81338d4f7"),
+    "dataset.pmf-ml10m.seed1": (
+        functools.partial(_dataset, "pmf-ml10m", 1),
+        "e622014377d50452a999b32ce017b0217d6a525caeab4b6852a12aaa5d0fae73"),
+    "dataset.pmf-ml20m.seed1": (
+        functools.partial(_dataset, "pmf-ml20m", 1),
+        "9af33bef81c5e6050e9d01390763b5d18a6cac0c465f217d5ab510f6747a3491"),
+    "dataset.mlp-synth.seed1": (
+        functools.partial(_dataset, "mlp-synth", 1),
+        "9ffb8b1fe69c4a9c06abd11bb1edaf7bc37b73af84a54cf8f68432290d5c6a9d"),
 }
 
 
 @pytest.mark.parametrize("op", PINS)
 def test_hot_path_output_is_bit_identical_to_its_pin(op):
     compute, pinned = PINS[op]
-    assert compute() == pinned
+    assert compute() == pinned, f"{op} moved (numpy {np.__version__})"
