@@ -27,66 +27,25 @@ number), so runs are exactly reproducible.
 Pending-event structure
 -----------------------
 
-The kernel delivers events in ``(time, seq)`` order from four containers
-instead of one global heap, because the platform-scale workloads keep
-thousands of timers pending while delay-zero handoffs churn:
+The kernel delivers events in ``(time, seq)`` order from two containers,
+popping whichever head is smaller:
 
 ``_nowq``
     A deque of delay-zero schedules (``succeed``/``fail`` wakeups, Store
-    handoffs).  Simulated time never moves backwards and ``seq`` is
-    monotone, so the deque is sorted by construction and a wakeup is an
-    O(1) append/popleft instead of a push through a populated heap.
+    handoffs, process starts).  Simulated time never moves backwards and
+    ``seq`` is monotone, so the deque is sorted by construction and a
+    wakeup is an O(1) append/popleft instead of a push through whatever
+    timers are pending.
 
-``_wheel``
-    A circular timer wheel of :data:`_WHEEL_SIZE` buckets, each
-    :data:`_WHEEL_QUANTUM` seconds wide, holding short-delay timeouts
-    (the dominant event class).  Bucket indices are *unwrapped* (the
-    physical slot is ``idx & _WHEEL_MASK``), so slots behind the cursor
-    belong to the next rotation and the usable horizon is always the
-    full wheel span.  Insert is an O(1) ``list.append``; a small side
-    heap (``_wheel_occ``) of *occupied bucket indices* — pushed only on
-    a bucket's empty-to-nonempty transition — lets the flush jump
-    straight to the next occupied bucket instead of scanning empties,
-    so sparse timelines (one pending timer, second-scale gaps) cost
-    O(log occupied-buckets), not O(elapsed-time / quantum).  A bucket
-    is sorted once (C timsort) when the clock reaches it and drained
-    through ``_due``.  The index function is monotone in ``t`` (with a
-    float guard so a bucket's lower bound never exceeds an entry's
-    time), which makes bucket order a refinement of ``(time, seq)``
-    order: equal times always map to the same bucket, and the wheel
-    base is never renormalized while entries are pending so every
-    lower-bound comparison reuses the exact float expression of the
-    insert guard.
-
-``_due``
-    The flushed-but-undelivered wheel entries, kept descending so the
-    minimum pops from the end in O(1).
-
-``_far``
-    A conventional heap for everything else: timers beyond the wheel
-    horizon, timers targeting already-flushed buckets (sub-quantum
-    delays landing just behind the cursor), and any entry at all when in
-    doubt — the pop loop compares the heads of all four containers
-    lexicographically, so the heap is always a correct fallback.
-
-The wheel re-anchors lazily: when it is empty and an insert misses the
-current window, the base moves to ``now`` and bucket 0 starts there, so
-long quiet periods cost nothing.
-
-Fired :class:`Timeout` and plain :class:`Event` objects are additionally
-pooled: after callbacks run, an event whose refcount proves no user
-reference survives is recycled by the next :meth:`Environment.timeout` /
-:meth:`Environment.event` call (its callbacks list is cleared and reused
-too), skipping the allocation and ``__init__`` of the two hottest
-constructors in the simulator.  Pooling never changes delivery order,
-only object identity, and the monitor digest hashes values and times,
-never identities.
+``_heap``
+    One binary heap of ``(time, seq, event)`` for every delayed schedule.
+    The committed workloads keep at most a few hundred timers pending, a
+    size at which C ``heapq`` is a handful of comparisons.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
 from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
@@ -99,49 +58,6 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
 ]
-
-#: timer-wheel geometry: 4096 buckets x 1 ms covers a rolling 4.096 s
-#: horizon (the wheel is circular: slots behind the cursor hold the next
-#: rotation), sized so millisecond-to-second service latencies (compute,
-#: network, polling sleeps) land in the wheel while barrier timeouts,
-#: keep-alive windows and hour-scale anchors fall through to the far
-#: heap.  The 1 ms quantum keeps bucket occupancy low even with tens of
-#: thousands of concurrent timers, so the sort-on-flush stays cheap.
-_WHEEL_SIZE = 4096
-_WHEEL_MASK = _WHEEL_SIZE - 1
-_WHEEL_QUANTUM = 0.001
-_WHEEL_INV_QUANTUM = 1.0 / _WHEEL_QUANTUM
-_WHEEL_SPAN = _WHEEL_SIZE * _WHEEL_QUANTUM
-
-_heappush = heapq.heappush
-_heappop = heapq.heappop
-
-#: recycled-event pool cap per environment (bounds kernel-held garbage)
-_TIMEOUT_POOL_CAP = 256
-
-#: timeout-delay histogram bin edges (seconds) for the kernel profiler
-_DELAY_BIN_EDGES = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
-
-
-def _measure_reclaim_refs() -> int:
-    """Reference count of an object held exactly like a just-fired event.
-
-    Mirrors the run loop at the pooling check: one containing tuple, one
-    local binding, one ``getrefcount`` argument.  Measuring instead of
-    hard-coding keeps the check correct across CPython versions; if the
-    measurement were ever too high the pool would silently stay cold
-    (safe), never reclaim a live object.
-    """
-    entry = (0.0, 0, object())
-    event = entry[2]
-    return sys.getrefcount(event) if hasattr(sys, "getrefcount") else -1
-
-
-_RECLAIM_REFS = _measure_reclaim_refs()
-#: on runtimes without getrefcount (PyPy) this never equals _RECLAIM_REFS,
-#: so pooling is disabled rather than wrong
-_getrefcount = getattr(sys, "getrefcount", lambda _obj: -2)
-
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
@@ -285,10 +201,7 @@ class Timeout(Event):
     Timeouts are born triggered, so ``__init__`` writes the slots
     directly instead of going through :class:`Event` and overwriting —
     this is the hottest constructor in the simulator (every simulated
-    latency is one).  Fired instances with no surviving references are
-    recycled through the environment's pool (see
-    :meth:`Environment.timeout`), which bypasses this constructor
-    entirely.
+    latency is one).
     """
 
     __slots__ = ("delay",)
@@ -437,16 +350,7 @@ class Environment:
         "_seq",
         "_active_process",
         "_nowq",
-        "_due",
-        "_far",
-        "_wheel",
-        "_wheel_base",
-        "_wheel_cursor",
-        "_wheel_count",
-        "_wheel_occ",
-        "_wheel_lb",
-        "_timeout_pool",
-        "_event_pool",
+        "_heap",
         "_profile",
     )
 
@@ -456,29 +360,8 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: delay-zero schedules, already sorted by construction
         self._nowq: deque = deque()
-        #: flushed wheel entries, descending — the minimum is due[-1]
-        self._due: List = []
-        #: heap of (time, seq, event) outside the wheel window
-        self._far: List = []
-        #: bucket lists, built lazily on the first nonzero-delay schedule
-        self._wheel: Optional[List[List]] = None
-        self._wheel_base = self._now
-        self._wheel_cursor = 0
-        self._wheel_count = 0
-        #: min-heap of occupied (unwrapped) bucket indices.  An index is
-        #: pushed exactly on a bucket's empty->nonempty transition and
-        #: popped when that bucket drains, so the heap mirrors bucket
-        #: occupancy with no stale entries and the flush can jump the
-        #: cursor over arbitrarily many empty buckets in O(log occupied).
-        self._wheel_occ: List[int] = []
-        #: cached lower bound of the nearest occupied bucket
-        #: (== _wheel_base + _wheel_occ[0] * _WHEEL_QUANTUM, maintained
-        #: at every occ-min change) so the run loop can decide "can the
-        #: wheel hold anything <= best?" with one slot load instead of a
-        #: _flush_wheel call.  Only meaningful while _wheel_count > 0.
-        self._wheel_lb = self._now
-        self._timeout_pool: List[Timeout] = []
-        self._event_pool: List[Event] = []
+        #: every delayed schedule, a heap of (time, seq, event)
+        self._heap: List = []
         self._profile: Optional[Dict[str, Any]] = None
 
     @property
@@ -493,68 +376,12 @@ class Environment:
 
     # -- factories ------------------------------------------------------
     def event(self) -> Event:
-        """Create a fresh untriggered event.
-
-        Recycles a pooled fired event when one is available: its
-        callbacks list was cleared at reclaim time, so only the trigger
-        state needs resetting.
-        """
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event._value = _PENDING
-            event._ok = None
-            event.defused = False
-            return event
+        """Create a fresh untriggered event."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` simulated seconds from now.
-
-        Recycles a pooled fired timeout when one is available (see the
-        module docstring): the slot writes below mirror
-        :meth:`Timeout.__init__` exactly, minus the allocation.
-        """
-        pool = self._timeout_pool
-        if not pool:
-            return Timeout(self, delay, value)
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        # Pooled instances need no callbacks/_ok writes: reclaim cleared
-        # the callbacks list in place and only successful events pool.
-        event = pool.pop()
-        event._value = value
-        event.defused = False
-        event.delay = delay
-        seq = self._seq
-        self._seq = seq + 1
-        if delay == 0.0:
-            self._nowq.append((self._now, seq, event))
-            return event
-        t = self._now + delay
-        # No profile hook here: enable_profile() drains the pools and
-        # profiled runs never refill them, so this path stays cold
-        # while the delay histogram is recording.
-        # Inlined common-case wheel insert (in-window, wheel built); any
-        # miss falls through to the generic path.
-        base = self._wheel_base
-        idx = int((t - base) * _WHEEL_INV_QUANTUM)
-        if base + idx * _WHEEL_QUANTUM > t:
-            idx -= 1
-        cursor = self._wheel_cursor
-        wheel = self._wheel
-        if wheel is not None and cursor <= idx < cursor + _WHEEL_SIZE:
-            bucket = wheel[idx & _WHEEL_MASK]
-            if not bucket:
-                occ = self._wheel_occ
-                _heappush(occ, idx)
-                if idx == occ[0]:
-                    self._wheel_lb = base + idx * _WHEEL_QUANTUM
-            bucket.append((t, seq, event))
-            self._wheel_count += 1
-        else:
-            self._wheel_insert((t, seq, event), t)
-        return event
+        """Create an event that fires ``delay`` simulated seconds from now."""
+        return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Spawn a new process from ``generator``."""
@@ -576,162 +403,30 @@ class Environment:
         self._seq = seq + 1
         if delay == 0.0:
             self._nowq.append((self._now, seq, event))
-            return
-        t = self._now + delay
-        self._wheel_insert((t, seq, event), t)
-        if self._profile is not None:
-            self._record_delay(delay)
-
-    def _wheel_insert(self, entry: tuple, t: float) -> None:
-        """File a future entry into the wheel, or the far heap when outside.
-
-        The far heap is a *correct* home for any entry (pops compare all
-        container heads), so every out-of-window case simply falls
-        through to it.
-        """
-        base = self._wheel_base
-        cursor = self._wheel_cursor
-        idx = int((t - base) * _WHEEL_INV_QUANTUM)
-        # Float guard: a bucket's lower bound must never exceed its
-        # entries' time, or the flush order could deliver a later entry
-        # first.  The guarded index function stays monotone in t, so
-        # equal times always share a bucket.
-        if base + idx * _WHEEL_QUANTUM > t:
-            idx -= 1
-        # The wheel is circular: indices are un-wrapped (monotone since
-        # the last re-anchor; the physical slot is idx & mask) and the
-        # live window is [cursor, cursor + size).  The base is *only*
-        # moved while the wheel is empty, so every lower-bound
-        # comparison below and in _flush_wheel reuses the exact float
-        # expression of this guard — ordering never hinges on a
-        # renormalized base being bit-equal.
-        if idx < cursor or idx >= cursor + _WHEEL_SIZE:
-            if self._wheel_count == 0:
-                # Wheel idle: re-anchor the window at the current time.
-                self._wheel_base = base = self._now
-                self._wheel_cursor = cursor = 0
-                self._wheel_lb = base
-                idx = int((t - base) * _WHEEL_INV_QUANTUM)
-                if base + idx * _WHEEL_QUANTUM > t:
-                    idx -= 1
-            if idx < cursor or idx >= cursor + _WHEEL_SIZE:
-                _heappush(self._far, entry)
-                return
-        wheel = self._wheel
-        if wheel is None:
-            wheel = self._wheel = [[] for _ in range(_WHEEL_SIZE)]
-        bucket = wheel[idx & _WHEEL_MASK]
-        if not bucket:
-            occ = self._wheel_occ
-            _heappush(occ, idx)
-            if idx == occ[0]:
-                self._wheel_lb = base + idx * _WHEEL_QUANTUM
-        bucket.append(entry)
-        self._wheel_count += 1
-
-    def _flush_wheel(self, best: Optional[tuple]) -> Optional[tuple]:
-        """Drain wheel buckets that may contain entries <= ``best``.
-
-        Jumps the cursor to each occupied bucket in index order (via the
-        ``_wheel_occ`` min-heap — empty buckets are never visited),
-        stopping once the next occupied bucket's lower bound exceeds the
-        best candidate's time.  Non-empty buckets are sorted into
-        ``_due`` (descending); returns the updated best candidate (the
-        new ``_due`` head when it wins).  Merging into a non-empty
-        ``_due`` is the rare float-edge case; steady state appends to an
-        empty list.  Bucket lower bounds reuse the insert guard's exact
-        float expression (same base, same index), so an entry's time is
-        never below its bucket's computed bound.
-        """
-        due = self._due
-        wheel = self._wheel
-        occ = self._wheel_occ
-        base = self._wheel_base
-        while occ:
-            idx = occ[0]
-            lb = base + idx * _WHEEL_QUANTUM
-            if best is not None and best[0] < lb:
-                break
-            _heappop(occ)
-            self._wheel_cursor = idx + 1
-            bucket = wheel[idx & _WHEEL_MASK]
-            self._wheel_count -= len(bucket)
-            if due:
-                due.extend(bucket)
-                due.sort(reverse=True)
-            else:
-                bucket.sort(reverse=True)
-                due.extend(bucket)
-            bucket.clear()
-            head = due[-1]
-            if best is None or head < best:
-                best = head
-        if occ:
-            self._wheel_lb = base + occ[0] * _WHEEL_QUANTUM
-        return best
+        else:
+            heapq.heappush(self._heap, (self._now + delay, seq, event))
 
     def _pop_next(self, stop_at: float = float("inf")) -> Optional[tuple]:
         """Remove and return the globally next ``(time, seq, event)``.
 
         Returns ``None`` when no event remains or the next event lies
-        beyond ``stop_at`` (in which case nothing is removed).  This is
-        the reference pop — :meth:`_run_fast` inlines the same logic.
+        beyond ``stop_at`` (in which case nothing is removed).
         """
         nowq = self._nowq
-        due = self._due
-        far = self._far
-        best = None
-        src = 0
-        if nowq:
-            best = nowq[0]
-            src = 1
-        if due:
-            head = due[-1]
-            if best is None or head < best:
-                best = head
-                src = 2
-        if far:
-            head = far[0]
-            if best is None or head < best:
-                best = head
-                src = 3
-        if self._wheel_count:
-            flushed = self._flush_wheel(best)
-            if flushed is not best:
-                best = flushed
-                src = 2
-        if best is None or best[0] > stop_at:
-            return None
-        if src == 1:
-            nowq.popleft()
-        elif src == 2:
-            due.pop()
-        else:
-            heapq.heappop(far)
-        return best
+        heap = self._heap
+        if nowq and (not heap or nowq[0] < heap[0]):
+            return nowq.popleft() if nowq[0][0] <= stop_at else None
+        if heap and heap[0][0] <= stop_at:
+            return heapq.heappop(heap)
+        return None
 
     def _pending_count(self) -> int:
-        return (
-            len(self._nowq) + len(self._due) + len(self._far) + self._wheel_count
-        )
+        return len(self._nowq) + len(self._heap)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when none remain."""
-        best_t = float("inf")
-        if self._nowq:
-            best_t = self._nowq[0][0]
-        if self._due and self._due[-1][0] < best_t:
-            best_t = self._due[-1][0]
-        if self._far and self._far[0][0] < best_t:
-            best_t = self._far[0][0]
-        if self._wheel_count:
-            # Bucket order refines time order, so the lowest occupied
-            # bucket index holds the wheel's minimum.
-            bucket = self._wheel[self._wheel_occ[0] & _WHEEL_MASK]
-            t = min(bucket)[0]
-            if t < best_t:
-                best_t = t
-        return best_t
+        heads = [q[0][0] for q in (self._nowq, self._heap) if q]
+        return min(heads, default=float("inf"))
 
     def step(self) -> None:
         """Process the single next event in the queue."""
@@ -752,7 +447,8 @@ class Environment:
 
         ``until`` may be ``None`` (run until no events remain), a number
         (run until that simulated time), or an :class:`Event` (run until it
-        triggers; its value is returned).
+        triggers; its value is returned, or its exception raised if it
+        failed — whether it fires during this call or already has).
         """
         stop_at = float("inf")
         stop_at_given = False
@@ -761,10 +457,11 @@ class Environment:
             pass
         elif isinstance(until, Event):
             stop_event = until
-            if stop_event.callbacks is not None:
-                stop_event.callbacks.append(self._stop_callback)
-            elif stop_event.triggered:
-                return stop_event._value if stop_event._ok else None
+            if stop_event.callbacks is None:  # already processed
+                if not stop_event._ok:
+                    raise stop_event._value
+                return stop_event._value
+            stop_event.callbacks.append(self._stop_callback)
         else:
             stop_at = float(until)
             stop_at_given = True
@@ -793,74 +490,25 @@ class Environment:
     def _run_fast(self, stop_at: float) -> None:
         """The hot loop: :meth:`_pop_next` + :meth:`step` fused and inlined.
 
-        Containers are cached as locals and only ever mutated in place
-        (never rebound), so the cache stays valid across callbacks that
-        schedule new events.  Scalar cursor state lives on ``self``
-        because callbacks move it.
+        Both containers are cached as locals and only ever mutated in
+        place (never rebound), so the cache stays valid across callbacks
+        that schedule new events.
         """
         nowq = self._nowq
-        due = self._due
-        far = self._far
-        tpool = self._timeout_pool
-        epool = self._event_pool
+        heap = self._heap
         heappop = heapq.heappop
-        getrefcount = _getrefcount
-        reclaim_refs = _RECLAIM_REFS
         while True:
-            # Candidate selection: pick the lexicographic minimum of the
-            # nowq / due / far heads, then give the wheel a chance iff
-            # its cursor lower bound does not exceed that candidate (the
-            # cached ``_wheel_lb`` makes that one compare, not a call).
-            # The lb comparison is required even when ``due`` is
-            # populated: the bucket index guard only enforces the lower
-            # bound, so float edges can file an entry one bucket early
-            # and flushing with the candidate restores exact (t, seq)
-            # order.
-            if due:
-                best = due[-1]
-                src = 2
-                if nowq and nowq[0] < best:
-                    best = nowq[0]
-                    src = 1
-                if far and far[0] < best:
-                    best = far[0]
-                    src = 3
-                if self._wheel_count and self._wheel_lb <= best[0]:
-                    flushed = self._flush_wheel(best)
-                    if flushed is not best:
-                        best = flushed
-                        src = 2
-            elif nowq:
-                best = nowq[0]
-                src = 1
-                if far and far[0] < best:
-                    best = far[0]
-                    src = 3
-                if self._wheel_count and self._wheel_lb <= best[0]:
-                    flushed = self._flush_wheel(best)
-                    if flushed is not best:
-                        best = flushed
-                        src = 2
-            else:
-                best = far[0] if far else None
-                src = 3
-                if self._wheel_count:
-                    flushed = self._flush_wheel(best)
-                    if flushed is not best:
-                        best = flushed
-                        src = 2
-                if best is None:
+            if nowq and (not heap or nowq[0] < heap[0]):
+                if nowq[0][0] > stop_at:
                     return
-            t = best[0]
-            if t > stop_at:
-                return
-            if src == 2:
-                due.pop()
-            elif src == 1:
-                nowq.popleft()
+                best = nowq.popleft()
+            elif heap:
+                if heap[0][0] > stop_at:
+                    return
+                best = heappop(heap)
             else:
-                heappop(far)
-            self._now = t
+                return
+            self._now = best[0]
             event = best[2]
             callbacks = event.callbacks
             event.callbacks = None
@@ -869,33 +517,15 @@ class Environment:
             else:
                 for callback in callbacks:
                     callback(event)
-            if not event._ok:
-                if not event.defused:
-                    # A failure nobody waited on: surface it, don't drop it.
-                    raise event._value
-            elif getrefcount(event) == reclaim_refs:
-                # Provably unreferenced outside this loop (the count
-                # mirrors _measure_reclaim_refs): recycle exact Timeout /
-                # Event instances, reusing the cleared callbacks list so
-                # the pooled constructor skips that allocation too.
-                cls = event.__class__
-                if cls is Timeout:
-                    if len(tpool) < _TIMEOUT_POOL_CAP:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        tpool.append(event)
-                elif cls is Event:
-                    if len(epool) < _TIMEOUT_POOL_CAP:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        epool.append(event)
+            if not event._ok and not event.defused:
+                # A failure nobody waited on: surface it, don't drop it.
+                raise event._value
 
     def _run_profiled(self, stop_at: float) -> None:
         """Instrumented run loop: per-event-type count/time accounting.
 
         Uses the injected timer (the sim layer never reads wall clocks
-        itself) and skips timeout pooling so the recorded costs reflect
-        the allocation behavior the breakdown is meant to expose.
+        itself).
         """
         prof = self._profile
         timer = prof["timer"]
@@ -928,28 +558,9 @@ class Environment:
         ``timer`` is a nanosecond counter (e.g. ``time.perf_counter_ns``)
         injected by the host-side caller — the simulated layer does not
         read wall clocks itself.  Collects a per-event-type count/time
-        breakdown and a timeout-delay histogram (the input that sized
-        the timer wheel); read the result with :meth:`profile_report`.
+        breakdown; read the result with :meth:`profile_report`.
         """
-        self._profile = {
-            "timer": timer,
-            "events": {},
-            "delays": [0] * (len(_DELAY_BIN_EDGES) + 1),
-        }
-        # Profiled runs dispatch through _run_profiled/_pop_next, which
-        # never reclaim events, so draining the pools here guarantees
-        # the pooled fast path in timeout() (which skips the profile
-        # delay-histogram hook) stays cold while profiling.
-        del self._timeout_pool[:]
-        del self._event_pool[:]
-
-    def _record_delay(self, delay: float) -> None:
-        bins = self._profile["delays"]
-        for i, edge in enumerate(_DELAY_BIN_EDGES):
-            if delay < edge:
-                bins[i] += 1
-                return
-        bins[-1] += 1
+        self._profile = {"timer": timer, "events": {}}
 
     def profile_report(self) -> Dict[str, Any]:
         """Snapshot of collected profile data as plain dicts."""
@@ -960,13 +571,7 @@ class Environment:
             name: {"count": count, "total_ns": total_ns}
             for name, (count, total_ns) in sorted(prof["events"].items())
         }
-        delay_bins = []
-        lower = 0.0
-        for edge, count in zip(_DELAY_BIN_EDGES, prof["delays"]):
-            delay_bins.append({"ge_s": lower, "lt_s": edge, "count": count})
-            lower = edge
-        delay_bins.append({"ge_s": lower, "lt_s": None, "count": prof["delays"][-1]})
-        return {"event_types": event_types, "timeout_delays": delay_bins}
+        return {"event_types": event_types}
 
     def _stop_callback(self, event: Event) -> None:
         if event._ok:

@@ -112,53 +112,19 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
-        """Insert ``item``; the event fires once there is room.
-
-        The unblocked path inlines :meth:`Event.succeed` (minus the
-        already-triggered guard — these events are untriggered by
-        construction): FIFO handoffs are the hottest resource entry
-        point, and the inlined now-queue appends keep each one an O(1)
-        kernel operation with no method-call overhead.
-        """
-        env = self.env
-        event = env.event()
+        """Insert ``item``; the event fires once there is room."""
+        event = self.env.event()
         if len(self._items) < self.capacity:
-            getters = self._getters
-            if getters:
-                getter = getters.popleft()
-                getter._ok = True
-                getter._value = item
-                seq = env._seq
-                env._seq = seq + 1
-                env._nowq.append((env._now, seq, getter))
-            else:
-                self._items.append(item)
-            event._ok = True
-            event._value = None
-            seq = env._seq
-            env._seq = seq + 1
-            env._nowq.append((env._now, seq, event))
+            self._do_put(event, item)
         else:
             self._putters.append((event, item))
         return event
 
     def get(self) -> Event:
-        """Remove the oldest item; the event's value is the item.
-
-        The item-available path is inlined like :meth:`put`.
-        """
-        env = self.env
-        event = env.event()
-        items = self._items
-        if items:
-            event._ok = True
-            event._value = items.popleft()
-            seq = env._seq
-            env._seq = seq + 1
-            env._nowq.append((env._now, seq, event))
-            if self._putters and len(items) < self.capacity:
-                putter, item = self._putters.popleft()
-                self._do_put(putter, item)
+        """Remove the oldest item; the event's value is the item."""
+        event = self.env.event()
+        if self._items:
+            self._do_get(event)
         else:
             self._getters.append(event)
         return event

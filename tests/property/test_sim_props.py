@@ -1,11 +1,13 @@
 """Property-based tests for the DES kernel and curve/EWMA math."""
 
+import heapq
+
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core import ewma
-from repro.sim import Environment
+from repro.sim import Environment, Store
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -104,6 +106,101 @@ def test_same_timestamp_events_pop_in_scheduling_order(delay_list):
         ((d, tag) for tag, d in enumerate(delay_list)), key=lambda p: p[0]
     )
     assert fired == expected
+
+
+# ------------------------------------------------ single-heap reference
+class NaiveEvent:
+    def __init__(self, env, value=None):
+        self.env, self.callbacks, self.value = env, [], value
+
+    def succeed(self, value=None):
+        self.value = value
+        self.env.schedule(self, 0.0)
+
+
+class NaiveEnvironment:
+    """Reference scheduler: every schedule is one push onto one heapq of
+    ``(time, seq, event)``; no now-queue, no fast path."""
+
+    def __init__(self):
+        self.now, self._seq, self._heap = 0.0, 0, []
+
+    def event(self):
+        return NaiveEvent(self)
+
+    def timeout(self, delay, value=None):
+        return self.schedule(NaiveEvent(self, value), delay)
+
+    def schedule(self, event, delay):
+        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+        self._seq += 1
+        return event
+
+    def run(self, until=float("inf")):
+        while self._heap and self._heap[0][0] <= until:
+            self.now, _, event = heapq.heappop(self._heap)
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+        if until != float("inf"):
+            self.now = until
+
+
+# ties, sub-millisecond, second and hour scale, and a delay the clock
+# absorbs (now + 1e-18 == now once now >= 0.5: a *heap* entry at the
+# current time, behind the now-queue's head)
+chain_delays = st.one_of(
+    st.sampled_from([0.0, 1e-4, 5e-4, 1e-3, 0.5, 4.096, 5.0, 3600.0, 1e-18]),
+    st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+)
+chain_ops = st.one_of(
+    st.tuples(st.just("sleep"), chain_delays),
+    st.sampled_from([("wake", None), ("put", None), ("get", None)]),
+)
+chains = st.lists(st.lists(chain_ops, min_size=1, max_size=8), min_size=1, max_size=8)
+
+
+def run_chains(env, program, split_at):
+    """Run every chain on ``env``; each op starts in the callback of the
+    one before it and logs ``(now, chain, position, value)`` when it
+    fires.  A ``get`` no ``put`` answers parks its chain for good, on both
+    sides."""
+    log, store = [], Store(env)
+
+    def advance(tag, k, value=None):
+        log.append((env.now, tag, k, value))
+        if k == len(program[tag]):
+            return
+        op, delay = program[tag][k]
+        if op == "sleep":
+            event = env.timeout(delay)
+        elif op == "wake":
+            event = env.event()
+        else:
+            event = store.put((tag, k)) if op == "put" else store.get()
+        event.callbacks.append(lambda fired: advance(tag, k + 1, fired.value))
+        if op == "wake":
+            event.succeed(k)
+
+    for tag in range(len(program)):
+        advance(tag, 0)
+    env.run(until=split_at)
+    log.append((env.now, "split", len(log)))
+    env.run()
+    return log
+
+
+@given(chains, chain_delays)
+# At t=0.5 chain 0's wakeup sits in the now-queue (older seq) while chain 1
+# pushes an absorbed timer onto the heap at the same time (newer seq), and
+# chain 1's own tied 0.5 s timer (older than both) is still on the heap.
+@example([[("sleep", 0.5), ("wake", None)], [("sleep", 0.5), ("sleep", 1e-18)]], 0.5)
+def test_chained_program_fires_like_the_single_heap_reference(program, split_at):
+    expected = run_chains(NaiveEnvironment(), program, split_at)
+    assert run_chains(Environment(), program, split_at) == expected
+    profiled = Environment()
+    profiled.enable_profile(lambda: 0)  # this loop pops through _pop_next
+    assert run_chains(profiled, program, split_at) == expected
 
 
 # ------------------------------------------------------------------- EWMA

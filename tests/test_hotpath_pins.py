@@ -249,8 +249,9 @@ def _fifo_pipeline():
 
 
 def _mixed_horizon():
-    """4k short-timer pollers, then 1k stragglers that first sleep past
-    any short horizon: far-timer fallback and wheel re-anchoring."""
+    """4k short-timer pollers, then 1k stragglers that first sleep
+    15-23 min: hour-scale sleepers interleaved with millisecond timers
+    in the one pending heap."""
     env, log = Environment(), []
 
     def straggler(i, delays):

@@ -136,6 +136,30 @@ def test_run_until_event_returns_its_value():
     assert env.now == 2
 
 
+def test_run_until_processed_failed_event_raises_like_a_pending_one():
+    def boom():
+        yield env.timeout(1)
+        raise RuntimeError("boom")
+
+    def watcher(p):
+        try:
+            yield p
+        except RuntimeError:
+            pass
+
+    env = Environment()
+    env.process(watcher(pending := env.process(boom())))
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=pending)
+
+    env = Environment()
+    env.process(watcher(processed := env.process(boom())))
+    env.run()
+    assert processed.processed and not processed.ok
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=processed)
+
+
 def test_process_waits_for_subprocess():
     env = Environment()
     order = []
@@ -280,6 +304,58 @@ def test_step_without_events_raises():
         Environment().step()
 
 
+def _mixed_machine(env, log):
+    """Delay-0 hops, wakeups, tied timers and a far timer, interleaved;
+    every delivery is logged, so any reordering of two events shows."""
+
+    def hopper(tag, delay):
+        for _ in range(3):
+            yield env.timeout(delay)
+            log.append((env.now, tag, "timer"))
+            yield env.timeout(0.0)
+            log.append((env.now, tag, "hop"))
+            wake = env.event()
+            wake.succeed()
+            yield wake
+            log.append((env.now, tag, "wake"))
+
+    for tag, delay in enumerate([0.0, 0.5, 0.5, 1.5, 3600.0]):
+        env.process(hopper(tag, delay))
+
+
+def test_step_delivers_the_same_log_as_run_and_peek_names_each_time():
+    ran_env, ran = Environment(), []
+    _mixed_machine(ran_env, ran)
+    ran_env.run()
+
+    env, stepped = Environment(), []
+    _mixed_machine(env, stepped)
+    while (next_time := env.peek()) != float("inf"):
+        env.step()
+        assert env.now == next_time
+    assert stepped == ran and len(ran) == 45
+    assert env.now == ran_env.now == 3 * 3600.0
+    with pytest.raises(SimulationError):
+        env.step()
+
+
+def test_run_until_number_leaves_later_events_pending():
+    env, log = Environment(), []
+    _mixed_machine(env, log)
+    env.run(until=1.5)  # events at exactly 1.5 are delivered
+    assert env.now == 1.5 and env.peek() == 3.0
+    assert [t for t, _, _ in log] == [0.0] * 9 + [0.5] * 6 + [1.0] * 6 + [1.5] * 9
+    # tied timers both fire before the first one's delay-0 hop
+    assert log[9:13] == [(0.5, 1, "timer"), (0.5, 2, "timer"), (0.5, 1, "hop"), (0.5, 2, "hop")]
+    env.run(until=2.0)  # nothing due: the clock still moves
+    assert env.now == 2.0 and len(log) == 30
+    env.run()
+    full_env, full = Environment(), []
+    _mixed_machine(full_env, full)
+    full_env.run()
+    assert log == full
+
+
 def test_clock_not_inf_after_run_to_exhaustion():
     env = Environment()
     env.timeout(2)
@@ -315,8 +391,7 @@ def test_run_until_untriggerable_event_raises():
 
 
 def test_profile_report_shape_from_instrumented_kernel():
-    # A tiny env under enable_profile must produce per-type
-    # count/total_ns and the timeout-delay histogram.
+    # A tiny env under enable_profile must produce per-type count/total_ns.
     env = Environment()
 
     def machine(env):
@@ -327,8 +402,7 @@ def test_profile_report_shape_from_instrumented_kernel():
     env.enable_profile(time.perf_counter_ns)
     env.run()
     report = env.profile_report()
-    assert set(report) == {"event_types", "timeout_delays"}
+    assert set(report) == {"event_types"}
     assert report["event_types"]["Timeout"]["count"] >= 2
     for entry in report["event_types"].values():
         assert entry["count"] > 0 and entry["total_ns"] >= 0
-    assert sum(b["count"] for b in report["timeout_delays"]) >= 1
