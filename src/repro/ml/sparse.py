@@ -61,11 +61,11 @@ class CSRMatrix:
 
     Instances are immutable: the index/data arrays must not be written to
     after construction, which is what makes the per-instance kernel
-    caches (``_row_ids``, ``_support``, ``_spmv``) safe — there is no
+    caches (``_support``, ``_spmv``) safe — there is no
     cache-invalidation story because there is nothing to invalidate.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "_row_ids", "_support", "_spmv")
+    __slots__ = ("indptr", "indices", "data", "shape", "_support", "_spmv")
 
     def __init__(
         self,
@@ -78,7 +78,6 @@ class CSRMatrix:
         self.indices = np.ascontiguousarray(indices, dtype=np.int32)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.shape = (int(shape[0]), int(shape[1]))
-        self._row_ids: Optional[np.ndarray] = None
         self._support: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         #: SciPy CSR handle: None = not built yet, False = unavailable or
         #: failed the bit-identity self-check, else the scipy.sparse matrix
@@ -104,7 +103,6 @@ class CSRMatrix:
         obj.indices = indices
         obj.data = data
         obj.shape = (int(shape[0]), int(shape[1]))
-        obj._row_ids = None
         obj._support = None
         obj._spmv = None
         return obj
@@ -181,14 +179,6 @@ class CSRMatrix:
         return self.nnz / total if total else 0.0
 
     # -- cached derived state ---------------------------------------------
-    def _cached_row_ids(self) -> np.ndarray:
-        """Row id of every stored entry (compute-once per matrix)."""
-        if self._row_ids is None:
-            self._row_ids = np.repeat(
-                np.arange(self.shape[0]), np.diff(self.indptr)
-            )
-        return self._row_ids
-
     def _cached_support(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(cols, inverse, row_nnz)`` of the column support (compute-once).
 
@@ -218,11 +208,14 @@ class CSRMatrix:
         return self._matvec_numpy(w)
 
     def _matvec_numpy(self, w: np.ndarray) -> np.ndarray:
-        """Reference kernel: per-row left-to-right accumulation from zero."""
+        """Reference kernel: per-row left-to-right accumulation from zero.
+
+        Runs once per matrix when SciPy's handle verifies, so the expanded
+        row ids are built per call rather than held for the matrix's life.
+        """
+        row_ids = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         products = self.data * w[self.indices]
-        return np.bincount(
-            self._cached_row_ids(), weights=products, minlength=self.shape[0]
-        )
+        return np.bincount(row_ids, weights=products, minlength=self.shape[0])
 
     def _build_spmv(self, w: np.ndarray) -> np.ndarray:
         """Build (and self-verify) the SciPy CSR matvec handle.

@@ -19,10 +19,9 @@ Data flow::
         -> build_invoices (per-tenant active + idle line items)
 """
 
-from .arrivals import JobSizeProfile, TrafficProfile, generate_arrivals
+from .arrivals import generate_arrivals
 from .billing import (
     InvoiceReport,
-    PoolEconomics,
     TenantInvoice,
     build_invoices,
     container_idle_intervals,
@@ -31,7 +30,6 @@ from .jobs import JobRecord, JobSpec, training_job_machine
 from .pool import PoolRuntime, SharedPool
 from .queue import JobQueue
 from .scenario import (
-    ScenarioConfig,
     ScenarioResult,
     percentile,
     run_isolated_baseline,
@@ -41,11 +39,8 @@ from .scheduler import FairShareScheduler
 from .tenants import PRIORITY_CLASSES, Tenant, make_tenant_fleet
 
 __all__ = [
-    "TrafficProfile",
-    "JobSizeProfile",
     "generate_arrivals",
     "InvoiceReport",
-    "PoolEconomics",
     "TenantInvoice",
     "build_invoices",
     "container_idle_intervals",
@@ -56,7 +51,6 @@ __all__ = [
     "SharedPool",
     "JobQueue",
     "FairShareScheduler",
-    "ScenarioConfig",
     "ScenarioResult",
     "percentile",
     "run_scenario",

@@ -7,136 +7,86 @@ Arrivals are sampled by thinning against the peak rate, drawing *only*
 from named seed streams (``platform.arrivals.<tenant>`` for timing,
 ``platform.jobs.<tenant>`` for job sizing) so adding a tenant, or
 resizing one tenant's jobs, never perturbs another tenant's schedule.
+
+``traffic`` and ``jobs`` below are the scenario's validated ``[traffic]``
+and ``[jobs]`` sections, read by attribute.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..sim import RandomStreams
 from .jobs import JobSpec
 from .tenants import Tenant
 
-__all__ = [
-    "TrafficProfile",
-    "JobSizeProfile",
-    "Submission",
-    "diurnal_rate",
-    "generate_arrivals",
-]
-
-
-@dataclass(frozen=True)
-class TrafficProfile:
-    """Shape of one tenant's submission traffic."""
-
-    #: mean submissions per hour (averaged over the diurnal cycle)
-    mean_rate_per_h: float = 6.0
-    #: diurnal modulation depth in [0, 1): rate swings between
-    #: ``mean*(1-amp)`` and ``mean*(1+amp)``
-    diurnal_amplitude: float = 0.6
-    #: sim time of the diurnal peak, seconds
-    peak_time_s: float = 2700.0
-    #: length of one (compressed) diurnal cycle, seconds
-    period_s: float = 7200.0
-    #: expected burst windows per hour per tenant
-    bursts_per_h: float = 0.5
-    #: burst window length, seconds
-    burst_len_s: float = 300.0
-    #: rate multiplier inside a burst window
-    burst_multiplier: float = 5.0
-
-
-@dataclass(frozen=True)
-class JobSizeProfile:
-    """Ranges the per-tenant job sampler draws sizes from."""
-
-    min_workers: int = 1
-    max_workers: int = 4
-    min_steps: int = 20
-    max_steps: int = 60
-    #: lognormal median / sigma of per-step CPU seconds
-    step_cpu_median_s: float = 0.35
-    step_cpu_sigma: float = 0.45
-    memory_grades_mb: Tuple[int, ...] = (1024, 2048)
-    sync_every: int = 5
+__all__ = ["Submission", "diurnal_rate", "generate_arrivals"]
 
 
 #: one scheduled submission: (sim time, job spec)
 Submission = Tuple[float, JobSpec]
 
 
-def diurnal_rate(
-    profile: TrafficProfile, t: float, bursts: List[Tuple[float, float]]
-) -> float:
+def diurnal_rate(traffic, t: float, bursts: List[Tuple[float, float]]) -> float:
     """Submissions/second at sim time ``t`` given active burst windows."""
-    cycle = 2.0 * math.pi * (t - profile.peak_time_s) / profile.period_s
-    rate = (profile.mean_rate_per_h / 3600.0) * (
-        1.0 + profile.diurnal_amplitude * math.cos(cycle)
+    cycle = 2.0 * math.pi * (t - traffic.peak_time_s) / traffic.period_s
+    rate = (traffic.mean_rate_per_h / 3600.0) * (
+        1.0 + traffic.diurnal_amplitude * math.cos(cycle)
     )
     for start, end in bursts:
         if start <= t < end:
-            rate *= profile.burst_multiplier
+            rate *= traffic.burst_multiplier
     return rate
 
 
-def _tenant_bursts(
-    profile: TrafficProfile, rng, horizon_s: float
-) -> List[Tuple[float, float]]:
+def _tenant_bursts(traffic, rng) -> List[Tuple[float, float]]:
     """Deterministic burst windows (homogeneous Poisson starts)."""
     bursts: List[Tuple[float, float]] = []
-    rate_per_s = profile.bursts_per_h / 3600.0
+    rate_per_s = traffic.bursts_per_h / 3600.0
     if rate_per_s <= 0:
         return bursts
     t = 0.0
     while True:
         t += float(rng.exponential(1.0 / rate_per_s))
-        if t >= horizon_s:
+        if t >= traffic.horizon_s:
             return bursts
-        bursts.append((t, t + profile.burst_len_s))
+        bursts.append((t, t + traffic.burst_len_s))
 
 
 def _tenant_arrivals(
-    tenant: Tenant,
-    profile: TrafficProfile,
-    sizes: JobSizeProfile,
-    streams: RandomStreams,
-    horizon_s: float,
+    tenant: Tenant, traffic, jobs, memory_grades_mb, streams: RandomStreams
 ) -> List[Submission]:
     """Thinned inhomogeneous Poisson arrivals + sampled job sizes."""
     arrival_rng = streams.stream(f"platform.arrivals.{tenant.tenant_id}")
     size_rng = streams.stream(f"platform.jobs.{tenant.tenant_id}")
-    bursts = _tenant_bursts(profile, arrival_rng, horizon_s)
+    bursts = _tenant_bursts(traffic, arrival_rng)
     peak_rate = (
-        (profile.mean_rate_per_h / 3600.0)
-        * (1.0 + profile.diurnal_amplitude)
-        * max(profile.burst_multiplier, 1.0)
+        (traffic.mean_rate_per_h / 3600.0)
+        * (1.0 + traffic.diurnal_amplitude)
+        * max(traffic.burst_multiplier, 1.0)
     )
     out: List[Submission] = []
     t = 0.0
     seq = 0
     while True:
         t += float(arrival_rng.exponential(1.0 / peak_rate))
-        if t >= horizon_s:
+        if t >= traffic.horizon_s:
             return out
         # Thinning: accept with probability rate(t)/peak_rate.  The draw
         # happens for every candidate, so acceptance of one arrival never
         # shifts the RNG stream consumed by later candidates.
         u = float(arrival_rng.random())
-        if u * peak_rate > diurnal_rate(profile, t, bursts):
+        if u * peak_rate > diurnal_rate(traffic, t, bursts):
             continue
-        n_workers = int(size_rng.integers(sizes.min_workers, sizes.max_workers + 1))
-        steps = int(size_rng.integers(sizes.min_steps, sizes.max_steps + 1))
+        n_workers = int(size_rng.integers(jobs.min_workers, jobs.max_workers + 1))
+        steps = int(size_rng.integers(jobs.min_steps, jobs.max_steps + 1))
         step_cpu = float(
             size_rng.lognormal(
-                math.log(sizes.step_cpu_median_s), sizes.step_cpu_sigma
+                math.log(jobs.step_cpu_median_s), jobs.step_cpu_sigma
             )
         )
-        grade = sizes.memory_grades_mb[
-            int(size_rng.integers(0, len(sizes.memory_grades_mb)))
-        ]
+        grade = memory_grades_mb[int(size_rng.integers(0, len(memory_grades_mb)))]
         out.append(
             (
                 t,
@@ -147,7 +97,7 @@ def _tenant_arrivals(
                     steps=steps,
                     step_cpu_s=step_cpu,
                     memory_mb=grade,
-                    sync_every=sizes.sync_every,
+                    sync_every=jobs.sync_every,
                 ),
             )
         )
@@ -155,19 +105,19 @@ def _tenant_arrivals(
 
 
 def generate_arrivals(
-    tenants: List[Tenant],
-    profile: TrafficProfile,
-    sizes: JobSizeProfile,
-    streams: RandomStreams,
-    horizon_s: float,
+    tenants: List[Tenant], traffic, jobs, memory_grades_mb, streams: RandomStreams
 ) -> List[Submission]:
-    """The full submission schedule, sorted by (time, job id).
+    """The submission schedule up to ``traffic.horizon_s``, sorted by (time, job id).
+
+    Each job's memory grade is drawn from ``memory_grades_mb`` (the pool's).
 
     The tie-break on job id makes the order total, so equal-timestamp
     submissions from different tenants enqueue identically in every run.
     """
     merged: List[Submission] = []
     for tenant in tenants:
-        merged.extend(_tenant_arrivals(tenant, profile, sizes, streams, horizon_s))
+        merged.extend(
+            _tenant_arrivals(tenant, traffic, jobs, memory_grades_mb, streams)
+        )
     merged.sort(key=lambda sub: (sub[0], sub[1].job_id))
     return merged

@@ -28,27 +28,16 @@ explicit tolerances, never float equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..faas.billing import DEFAULT_RATE_PER_GB_S, FaaSBilling
+from ..faas.billing import FaaSBilling
 
 __all__ = [
-    "PoolEconomics",
     "TenantInvoice",
     "InvoiceReport",
     "container_idle_intervals",
     "build_invoices",
 ]
-
-
-@dataclass(frozen=True)
-class PoolEconomics:
-    """Pricing the platform re-bills tenants at."""
-
-    rate_per_gb_s: float = DEFAULT_RATE_PER_GB_S
-    #: idle warm capacity is billed at this fraction of the active rate
-    #: (the provider's keep-alive cost passed through, discounted)
-    idle_rate_fraction: float = 0.25
 
 
 @dataclass
@@ -153,12 +142,17 @@ def build_invoices(
     pool_label: str,
     keep_alive_s: float,
     horizon_s: float,
-    economics: Optional[PoolEconomics] = None,
+    pricing,
     tenants: Sequence[str] = (),
 ) -> InvoiceReport:
-    """Split the pool's consolidated bill into per-tenant invoices."""
-    economics = economics if economics is not None else PoolEconomics()
-    rate = economics.rate_per_gb_s
+    """Split the pool's consolidated bill into per-tenant invoices.
+
+    ``pricing`` is the scenario's ``[pricing]`` section: tenants are
+    re-billed at ``rate_per_gb_s``, and idle warm capacity at
+    ``idle_rate_fraction`` of it (the provider's keep-alive cost passed
+    through, discounted).
+    """
+    rate = pricing.rate_per_gb_s
     invoices: Dict[str, TenantInvoice] = {
         tenant_id: TenantInvoice(tenant_id) for tenant_id in sorted(tenants)
     }
@@ -203,7 +197,7 @@ def build_invoices(
         tenant_id = owner[0]
         gb = memory_by_function.get(function, 0) / 1024.0
         gb_s = gb * (end - start)
-        cost = gb_s * rate * economics.idle_rate_fraction
+        cost = gb_s * rate * pricing.idle_rate_fraction
         invoice = invoice_for(tenant_id)
         invoice.idle_gb_s += gb_s
         invoice.idle_cost += cost

@@ -7,9 +7,8 @@ The compiler owns *how* a declarative scenario becomes actual work:
   profiles, span tracing and pricing threaded into the simulated world,
   and an optional right-sizing sweep over (workers, ISP threshold);
 * ``kind = "platform"`` → :func:`repro.platform.scenario.run_scenario`
-  (and optionally :func:`run_isolated_baseline`), with the spec's
-  traffic/job-mix/pool/pricing sections mapped onto the platform's
-  config dataclasses.
+  (and optionally :func:`run_isolated_baseline`), handed the spec's
+  traffic/job-mix/pool/pricing sections as they are.
 
 The output is one KPI payload (see :mod:`repro.scenarios.kpi`) whose
 reconciliation block has already been *enforced* — a run whose invoices
@@ -33,7 +32,7 @@ from .kpi import (
     reconcile_platform,
     reconcile_single_job,
 )
-from .spec import JobMixSpec, PoolSpec, ScenarioSpec, TrafficSpec, lower_fields
+from .spec import JobMixSpec, PoolSpec, ScenarioSpec, TrafficSpec
 
 __all__ = ["run_scenario_spec", "KPI_SCHEMA"]
 
@@ -261,42 +260,21 @@ def _single_reconciliation_summary(runs: List[Dict[str, Any]]) -> Dict[str, Any]
 # -- platform lowering ------------------------------------------------------
 
 
-def _platform_config(spec: ScenarioSpec):
-    """The platform's ``ScenarioConfig`` for ``spec``.
-
-    Spec keys reach the platform's config dataclasses by field name;
-    only the keys the platform spells differently are written out.
-    """
-    from ..platform.arrivals import JobSizeProfile, TrafficProfile
-    from ..platform.billing import PoolEconomics
-    from ..platform.scenario import ScenarioConfig
-
-    traffic = spec.traffic or TrafficSpec()
-    pool = spec.pool or PoolSpec()
-    return lower_fields(
-        ScenarioConfig,
-        traffic,
-        pool,
-        seed=spec.seed,
-        n_tenants=traffic.tenants,
-        pool_concurrency=pool.concurrency,
-        traffic=lower_fields(TrafficProfile, traffic),
-        sizes=lower_fields(JobSizeProfile, spec.jobs or JobMixSpec(), pool),
-        economics=lower_fields(PoolEconomics, spec.pricing),
-    )
-
-
 def _run_platform(spec: ScenarioSpec, payload: Dict[str, Any],
                   progress: Progress) -> None:
     from ..platform.scenario import run_isolated_baseline, run_scenario
 
-    config = _platform_config(spec)
+    # An unset section runs at its defaults but stays unset on the spec,
+    # so it dumps as no table.
+    traffic = spec.traffic or TrafficSpec()
+    pool = spec.pool or PoolSpec()
+    args = (spec.seed, traffic, spec.jobs or JobMixSpec(), pool, spec.pricing)
     if progress is not None:
         progress(
-            f"[{spec.name}] platform: {config.n_tenants} tenants over "
-            f"{config.horizon_s:.0f}s, pool concurrency {config.pool_concurrency}"
+            f"[{spec.name}] platform: {traffic.tenants} tenants over "
+            f"{traffic.horizon_s:.0f}s, pool concurrency {pool.concurrency}"
         )
-    result = run_scenario(config)
+    result = run_scenario(*args)
     reconciliation = reconcile_platform(result.report)
     metrics = result.metrics
     kpis: Dict[str, Any] = {
@@ -334,7 +312,7 @@ def _run_platform(spec: ScenarioSpec, payload: Dict[str, Any],
     if spec.report.isolated_baseline:
         if progress is not None:
             progress(f"[{spec.name}] pricing the per-job-isolation baseline...")
-        baseline = run_isolated_baseline(config)
+        baseline = run_isolated_baseline(*args)
         platform_block["isolated_baseline"] = {
             k: baseline[k] for k in sorted(baseline)
         }

@@ -276,14 +276,15 @@ class _Section:
     def from_dict(cls, data: Dict[str, Any], path: str = ""):
         path = path or cls._section
         spec = cls(**_read_keys(cls, data, path))
-        spec._cross_check(path)
+        spec._cross_check(path, data)
         return spec
 
     def to_dict(self) -> Dict[str, Any]:
         return _dump_keys(self)
 
-    def _cross_check(self, path: str) -> None:
-        """Rules that relate several keys of this one section."""
+    def _cross_check(self, path: str, table: Dict[str, Any]) -> None:
+        """Rules that relate several keys of this one section, as built
+        from ``table``."""
 
 
 # -- section dataclasses ----------------------------------------------------
@@ -334,7 +335,7 @@ class SweepSpec(_Section):
     workers: Tuple[int, ...] = key((), ge=1, dump=IF_SET)
     isp_threshold: Tuple[float, ...] = key((), ge=0.0, dump=IF_SET)
 
-    def _cross_check(self, path: str) -> None:
+    def _cross_check(self, path: str, table: Dict[str, Any]) -> None:
         if not self.workers and not self.isp_threshold:
             raise SpecError(
                 path, "must set at least one of 'workers' / 'isp_threshold'"
@@ -376,10 +377,11 @@ class FaultSpec(_Section):
     cos_error_rate: float = _rate()
     max_storage_retries: int = _inline(4, ge=0)
 
-    def _cross_check(self, path: str) -> None:
+    def _cross_check(self, path: str, table: Dict[str, Any]) -> None:
         # A preset lowers to the registry entry and dumps as its name
-        # alone, so any inline key moved off its default would be lost.
-        if self.profile is not None and self != FaultSpec(profile=self.profile):
+        # alone, so any inline key written beside it — at its default or
+        # not — would be overridden and then lost.
+        if self.profile is not None and len(table) > 1:
             raise SpecError(
                 path, "sets both a named 'profile' and inline rates; pick one"
             )
@@ -405,10 +407,15 @@ class TrafficSpec(_Section):
 
     tenants: int = key(24, ge=1)
     horizon_s: float = key(7200.0, ge=1.0)
+    #: per-tenant submissions per hour, averaged over the diurnal cycle
     mean_rate_per_h: float = key(9.0, ge=0.0)
+    #: the rate swings between ``mean * (1 - amp)`` and ``mean * (1 + amp)``
     diurnal_amplitude: float = key(0.6, ge=0.0, le=0.999)
+    #: sim time of the diurnal peak / length of one (compressed) day
     peak_time_s: float = key(2700.0, ge=0.0)
     period_s: float = key(7200.0, ge=1.0)
+    #: expected burst windows per hour per tenant, each ``burst_len_s``
+    #: long and multiplying the rate by ``burst_multiplier``
     bursts_per_h: float = key(0.5, ge=0.0)
     burst_len_s: float = key(300.0, ge=0.0)
     burst_multiplier: float = key(5.0, ge=1.0)
@@ -425,11 +432,12 @@ class JobMixSpec(_Section):
     max_workers: int = key(4, ge=1)
     min_steps: int = key(20, ge=1)
     max_steps: int = key(60, ge=1)
+    #: lognormal median / sigma of per-step CPU seconds
     step_cpu_median_s: float = key(0.35, ge=1e-6)
     step_cpu_sigma: float = key(0.45, ge=0.0)
     sync_every: int = key(5, ge=0)
 
-    def _cross_check(self, path: str) -> None:
+    def _cross_check(self, path: str, table: Dict[str, Any]) -> None:
         for what in ("workers", "steps"):
             low, high = getattr(self, f"min_{what}"), getattr(self, f"max_{what}")
             if low > high:
@@ -446,7 +454,9 @@ class PoolSpec(_Section):
     _section = "pool"
     _only = "platform"
 
+    #: sized so the default diurnal peak (plus bursts) really queues jobs
     concurrency: int = key(12, ge=1)
+    #: function sizes the pool registers; each job draws one of them
     memory_grades_mb: Tuple[int, ...] = key((1024, 2048), ge=128)
     keep_alive_s: float = key(180.0, ge=0.0)
     scale_to_zero_after_s: float = key(60.0, ge=0.0)

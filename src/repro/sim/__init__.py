@@ -19,7 +19,7 @@ from .core import (
 from .events import AllOf, AnyOf, Condition
 from .monitor import Monitor, Series, TraceEntry
 from .rand import RandomStreams
-from .resources import Container, Request, Resource, Store
+from .resources import Request, Resource, Store
 
 __all__ = [
     "Environment",
@@ -35,7 +35,6 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
-    "Container",
     "RandomStreams",
     "Monitor",
     "Series",

@@ -9,9 +9,6 @@
 ``Store``
     An unbounded-or-bounded FIFO buffer of Python objects, the building
     block for queues and mailboxes.
-
-``Container``
-    A continuous quantity (e.g. bytes of budget) with put/get amounts.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from typing import Any, Deque, List, Tuple
 
 from .core import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Request", "Store", "Container"]
+__all__ = ["Resource", "Request", "Store"]
 
 
 class Request(Event):
@@ -155,59 +152,3 @@ class Store:
         if self._putters and len(self._items) < self.capacity:
             putter, item = self._putters.popleft()
             self._do_put(putter, item)
-
-
-class Container:
-    """A continuous quantity with blocking ``put``/``get`` of amounts."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init={init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        #: blocked transfers as (event, amount) pairs (events are slotted)
-        self._getters: Deque[Tuple[Event, float]] = deque()
-        self._putters: Deque[Tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        event = self.env.event()
-        self._putters.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        event = self.env.event()
-        self._getters.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and self._level + self._putters[0][1] <= self.capacity:
-                putter, amount = self._putters.popleft()
-                self._level += amount
-                putter.succeed()
-                progress = True
-            if self._getters and self._level >= self._getters[0][1]:
-                getter, amount = self._getters.popleft()
-                self._level -= amount
-                getter.succeed(amount)
-                progress = True

@@ -4,7 +4,6 @@ from .base import ServiceMetrics, StorageService
 from .errors import (
     BucketNotFound,
     KeyNotFound,
-    QueueClosed,
     StorageError,
     TransientStorageError,
 )
@@ -24,6 +23,5 @@ __all__ = [
     "StorageError",
     "KeyNotFound",
     "BucketNotFound",
-    "QueueClosed",
     "TransientStorageError",
 ]

@@ -6,7 +6,6 @@ __all__ = [
     "StorageError",
     "KeyNotFound",
     "BucketNotFound",
-    "QueueClosed",
     "TransientStorageError",
 ]
 
@@ -30,14 +29,6 @@ class BucketNotFound(StorageError):
     def __init__(self, bucket: str):
         super().__init__(f"bucket {bucket!r} not found")
         self.bucket = bucket
-
-
-class QueueClosed(StorageError):
-    """An operation was attempted on a closed message queue."""
-
-    def __init__(self, queue: str):
-        super().__init__(f"queue {queue!r} is closed")
-        self.queue = queue
 
 
 class TransientStorageError(StorageError):

@@ -7,13 +7,12 @@ is part of the MLLess bill and its NIC is a genuine contention point — the
 per-step communication overhead that grows with the worker count (Fig. 2a)
 comes from here.
 
-Semantics implemented: GET/SET/DELETE, atomic counters, append-only lists
-(RPUSH/LRANGE) used for update logs, and EXISTS.
+Semantics implemented: GET/SET/DELETE and EXISTS.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator
 
 from ..net import LatencyModel, LognormalLatency
 from ..sim import Environment, RandomStreams
@@ -29,7 +28,7 @@ DEFAULT_BANDWIDTH_BPS = 1e9
 
 
 class KVStore(StorageService):
-    """In-memory KV store with request-level timing and list ops."""
+    """In-memory KV store with request-level timing."""
 
     def __init__(
         self,
@@ -45,9 +44,7 @@ class KVStore(StorageService):
             env, streams, latency, bandwidth_bps, name, faults=faults, tracer=tracer
         )
         self._data: Dict[str, Any] = {}
-        self._lists: Dict[str, List[Any]] = {}
 
-    # -- plain keys ------------------------------------------------------
     def set(self, key: str, value: Any) -> Generator:
         yield from self._charge("set", self.size_of(value), inbound=True, detail=key)
         self._data[key] = value
@@ -68,40 +65,10 @@ class KVStore(StorageService):
     def delete(self, key: str) -> Generator:
         yield from self._charge("delete", 0, inbound=True, detail=key)
         self._data.pop(key, None)
-        self._lists.pop(key, None)
 
     def exists(self, key: str) -> Generator:
         yield from self._charge("exists", 8, inbound=False, detail=key)
-        return key in self._data or key in self._lists
-
-    def incr(self, key: str, amount: int = 1) -> Generator:
-        """Atomic integer increment; generator returns the new value."""
-        yield from self._charge("incr", 16, inbound=True, detail=key)
-        new = int(self._data.get(key, 0)) + amount
-        self._data[key] = new
-        return new
-
-    # -- lists (update logs) ----------------------------------------------
-    def rpush(self, key: str, value: Any) -> Generator:
-        """Append ``value``; generator returns the new list length."""
-        yield from self._charge("rpush", self.size_of(value), inbound=True, detail=key)
-        self._lists.setdefault(key, []).append(value)
-        return len(self._lists[key])
-
-    def llen(self, key: str) -> Generator:
-        yield from self._charge("llen", 8, inbound=False, detail=key)
-        return len(self._lists.get(key, []))
-
-    def lrange(self, key: str, start: int, stop: int) -> Generator:
-        """Slice ``[start, stop)`` of the list; generator returns the items.
-
-        Unlike Redis's inclusive LRANGE, this uses Python slice semantics —
-        simpler for callers that track a read cursor.
-        """
-        items = self._lists.get(key, [])[start:stop]
-        size = sum(self.size_of(v) for v in items) if items else 8
-        yield from self._charge("lrange", size, inbound=False, detail=key)
-        return items
+        return key in self._data
 
     # -- synchronous introspection (no time charged) ----------------------
     def peek(self, key: str) -> Any:
@@ -109,13 +76,5 @@ class KVStore(StorageService):
             return self._data[key]
         raise KeyNotFound(key, where=self.name)
 
-    def peek_list(self, key: str) -> List[Any]:
-        return list(self._lists.get(key, []))
-
-    def flush(self) -> None:
-        """Drop all data (between experiments); no time charged."""
-        self._data.clear()
-        self._lists.clear()
-
     def key_count(self) -> int:
-        return len(self._data) + len(self._lists)
+        return len(self._data)

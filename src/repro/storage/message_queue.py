@@ -19,7 +19,6 @@ from typing import Any, Dict, Generator, List
 from ..net import LatencyModel, LognormalLatency
 from ..sim import Environment, RandomStreams, Store
 from .base import StorageService
-from .errors import QueueClosed
 
 __all__ = ["MessageQueue", "Exchange"]
 
@@ -48,18 +47,14 @@ class MessageQueue(StorageService):
             env, streams, latency, bandwidth_bps, name, faults=faults, tracer=tracer
         )
         self._queues: Dict[str, Store] = {}
-        self._closed: Dict[str, bool] = {}
 
     def declare(self, queue: str) -> None:
         """Create ``queue`` if it does not exist (idempotent)."""
         if queue not in self._queues:
             self._queues[queue] = Store(self.env)
-            self._closed[queue] = False
 
     def _store(self, queue: str) -> Store:
         self.declare(queue)
-        if self._closed[queue]:
-            raise QueueClosed(queue)
         return self._queues[queue]
 
     def publish(self, queue: str, message: Any) -> Generator:
@@ -111,18 +106,6 @@ class MessageQueue(StorageService):
         yield from self._charge("poll", 8, inbound=False, detail=queue)
         return None
 
-    def try_consume(self, queue: str) -> Generator:
-        """Non-blocking consume; returns ``None`` when the queue is empty."""
-        store = self._store(queue)
-        if len(store) == 0:
-            yield from self._charge("poll", 8, inbound=False, detail=queue)
-            return None
-        message = yield store.get()
-        yield from self._charge(
-            "consume", self.size_of(message), inbound=False, detail=queue
-        )
-        return message
-
     def drain(self, queue: str) -> Generator:
         """Consume every currently queued message; returns a list."""
         store = self._store(queue)
@@ -132,11 +115,6 @@ class MessageQueue(StorageService):
         size = sum(self.size_of(m) for m in messages) if messages else 8
         yield from self._charge("drain", size, inbound=False, detail=queue)
         return messages
-
-    def close(self, queue: str) -> None:
-        """Refuse further operations on ``queue``."""
-        self.declare(queue)
-        self._closed[queue] = True
 
     def depth(self, queue: str) -> int:
         """Messages currently waiting in ``queue`` (no time charged)."""

@@ -9,7 +9,7 @@ makes it so slow in Fig. 6.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator
 
 from ..net import LatencyModel, LognormalLatency
 from ..sim import Environment, RandomStreams
@@ -86,15 +86,6 @@ class ObjectStore(StorageService):
             "delete", 0, inbound=True, detail=f"{bucket}/{key}"
         )
         objects.pop(key, None)
-
-    def list_keys(self, bucket: str, prefix: str = "") -> Generator:
-        """List keys in ``bucket`` matching ``prefix``; generator returns them."""
-        objects = self._bucket(bucket)
-        keys: List[str] = sorted(k for k in objects if k.startswith(prefix))
-        yield from self._charge(
-            "list", 32 * max(len(keys), 1), inbound=False, detail=f"{bucket}/{prefix}"
-        )
-        return keys
 
     # -- synchronous introspection (tests / setup, no time charged) -----
     def peek(self, bucket: str, key: str) -> Any:

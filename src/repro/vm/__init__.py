@@ -1,13 +1,6 @@
-"""Simulated IaaS substrate: VM instances, clusters and collectives."""
+"""Simulated IaaS substrate: VM instances and collectives."""
 
-from .allreduce import broadcast_time, ring_allreduce_time, tree_allreduce_time
-from .cluster import VMCluster
+from .allreduce import ring_allreduce_time, tree_allreduce_time
 from .instance import VMInstance
 
-__all__ = [
-    "VMInstance",
-    "VMCluster",
-    "ring_allreduce_time",
-    "tree_allreduce_time",
-    "broadcast_time",
-]
+__all__ = ["VMInstance", "ring_allreduce_time", "tree_allreduce_time"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["ring_allreduce_time", "tree_allreduce_time", "broadcast_time"]
+__all__ = ["ring_allreduce_time", "tree_allreduce_time"]
 
 
 def _check(size_bytes: float, nodes: int, bandwidth_bps: float, latency_s: float):
@@ -67,17 +67,3 @@ def tree_allreduce_time(
     per_step_time = latency_s + (size_bytes * 8.0) / bandwidth_bps
     return steps * per_step_time
 
-
-def broadcast_time(
-    size_bytes: float,
-    nodes: int,
-    bandwidth_bps: float,
-    latency_s: float = 50e-6,
-) -> float:
-    """Wall time of a binomial-tree broadcast from one root."""
-    _check(size_bytes, nodes, bandwidth_bps, latency_s)
-    if nodes == 1:
-        return 0.0
-    steps = math.ceil(math.log2(nodes))
-    per_step_time = latency_s + (size_bytes * 8.0) / bandwidth_bps
-    return steps * per_step_time

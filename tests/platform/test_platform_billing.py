@@ -9,12 +9,12 @@ from repro.platform import (
     JobQueue,
     JobRecord,
     JobSpec,
-    PoolEconomics,
     SharedPool,
     Tenant,
     build_invoices,
     container_idle_intervals,
 )
+from repro.scenarios.spec import PricingSpec
 from repro.sim import Environment, RandomStreams
 from repro.storage import KVStore
 from repro.trace import CostLedger, Tracer
@@ -80,7 +80,7 @@ def test_invoices_attribute_every_billed_gb_second():
     }
     report = build_invoices(
         billing, [], owners, pool_label="pool", keep_alive_s=60.0,
-        horizon_s=10.0, tenants=["t-a", "t-b"],
+        horizon_s=10.0, pricing=PricingSpec(), tenants=["t-a", "t-b"],
     )
     checks = report.reconcile()
     assert checks["abs_error"] < TOL
@@ -99,7 +99,7 @@ def test_unowned_activation_is_visible_residue_not_silently_spread():
     owners = {("pool", 0): ("t-a", "t-a/j0")}
     report = build_invoices(
         billing, [], owners, pool_label="pool", keep_alive_s=60.0,
-        horizon_s=10.0, tenants=["t-a"],
+        horizon_s=10.0, pricing=PricingSpec(), tenants=["t-a"],
     )
     checks = report.reconcile()
     assert report.unattributed_cost > 0.0
@@ -115,17 +115,16 @@ def test_idle_charged_to_releasing_tenant_at_discounted_rate():
         (2.0, "release", "trainer-2048", 0, 0),
         (6.0, "reclaim", "trainer-2048", 0, -1),
     ]
-    economics = PoolEconomics(idle_rate_fraction=0.5)
+    pricing = PricingSpec(idle_rate_fraction=0.5)
     report = build_invoices(
         billing, log, {("pool", 0): ("t-a", "t-a/j0")}, pool_label="pool",
-        keep_alive_s=60.0, horizon_s=10.0, economics=economics,
-        tenants=["t-a"],
+        keep_alive_s=60.0, horizon_s=10.0, pricing=pricing, tenants=["t-a"],
     )
     invoice = report.invoices["t-a"]
     # 4 idle seconds at 2 GB, half the active rate.
     assert invoice.idle_gb_s == pytest.approx(8.0)
     assert invoice.idle_cost == pytest.approx(
-        8.0 * economics.rate_per_gb_s * 0.5
+        8.0 * pricing.rate_per_gb_s * 0.5
     )
     assert invoice.total_cost == pytest.approx(
         invoice.active_cost + invoice.idle_cost
@@ -213,7 +212,7 @@ def test_warm_interleave_on_one_shared_pool_keeps_identity():
     report = build_invoices(
         pool.platform.billing, pool.platform.container_log, pool.owners,
         pool_label="pool", keep_alive_s=600.0, horizon_s=env.now,
-        tenants=["t-a", "t-b"],
+        pricing=PricingSpec(), tenants=["t-a", "t-b"],
     )
     checks = report.reconcile()
     assert checks["attributed_fraction"] == pytest.approx(1.0)

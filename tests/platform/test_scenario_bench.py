@@ -3,17 +3,22 @@ default-config digests."""
 
 import pytest
 
-from repro.platform import ScenarioConfig, run_isolated_baseline, run_scenario
-from repro.platform.arrivals import JobSizeProfile, TrafficProfile
+from repro.platform import run_isolated_baseline, run_scenario
 from repro.platform.scenario import percentile
+from repro.scenarios.spec import JobMixSpec, PoolSpec, PricingSpec, TrafficSpec
 
 from ..test_hotpath_pins import sha_chunks
 
-SMALL = ScenarioConfig(
-    seed=5, n_tenants=5, horizon_s=1200.0, pool_concurrency=5,
-    traffic=TrafficProfile(mean_rate_per_h=15.0),
-    sizes=JobSizeProfile(max_workers=3, min_steps=3, max_steps=10),
+#: (seed, [traffic], [jobs], [pool], [pricing]) — run_scenario's arguments
+SMALL = (
+    5,
+    TrafficSpec(tenants=5, horizon_s=1200.0, mean_rate_per_h=15.0),
+    JobMixSpec(max_workers=3, min_steps=3, max_steps=10),
+    PoolSpec(concurrency=5),
+    PricingSpec(),
 )
+#: the default sections, with jobs as wide as half the pool
+DEFAULT = (0, TrafficSpec(), JobMixSpec(max_workers=6), PoolSpec(), PricingSpec())
 
 
 def test_percentile_nearest_rank():
@@ -29,7 +34,7 @@ def test_percentile_nearest_rank():
 
 
 def test_scenario_completes_all_jobs_with_sane_metrics():
-    result = run_scenario(SMALL)
+    result = run_scenario(*SMALL)
     metrics = result.metrics
     assert metrics["jobs"] >= 20
     assert all(r.done for r in result.records)
@@ -43,15 +48,15 @@ def test_scenario_completes_all_jobs_with_sane_metrics():
 
 
 def test_scenario_invoices_cover_every_tenant_with_jobs():
-    result = run_scenario(SMALL)
+    result = run_scenario(*SMALL)
     billed = {t for t, inv in result.report.invoices.items() if inv.jobs > 0}
     submitted = {r.spec.tenant_id for r in result.records}
     assert billed == submitted
 
 
 def test_sharing_beats_isolation_on_cost_per_job():
-    shared = run_scenario(SMALL).metrics["cost_per_job_shared_usd"]
-    isolated = run_isolated_baseline(SMALL)["cost_per_job_isolated_usd"]
+    shared = run_scenario(*SMALL).metrics["cost_per_job_shared_usd"]
+    isolated = run_isolated_baseline(*SMALL)["cost_per_job_isolated_usd"]
     assert shared < isolated
 
 
@@ -63,13 +68,12 @@ def _metrics_checksum(metrics, digest=""):
 
 
 def test_default_scenario_meets_the_benchmark_floor():
-    """The default config must exercise platform scale: >= 200 jobs from
+    """The default scenario must exercise platform scale: >= 200 jobs from
     >= 20 tenants.  Its trace digest and every shared / isolated metric
     are pinned bit-exactly, so scheduling, billing or RNG drift shows up
     here and not only as a changed headline number."""
-    config = ScenarioConfig()
-    assert config.n_tenants >= 20
-    result = run_scenario(config)
+    assert TrafficSpec().tenants >= 20
+    result = run_scenario(*DEFAULT)
     assert result.metrics["jobs"] >= 200
     assert result.metrics["queue_wait_p95_s"] > 0.0
     assert result.digest == (
@@ -78,6 +82,6 @@ def test_default_scenario_meets_the_benchmark_floor():
     assert _metrics_checksum(result.metrics, result.digest) == (
         "70ec4d23bea4061341e6e311fdef561274fcef06fb917249a220c9d039c7273e"
     )
-    assert _metrics_checksum(run_isolated_baseline(config)) == (
+    assert _metrics_checksum(run_isolated_baseline(*DEFAULT)) == (
         "c3a9a945df05b28ffdfe319e505d520456f2f1eec9e08fcaf1b98bdafd06ff78"
     )

@@ -5,14 +5,13 @@ import pytest
 from repro.platform import (
     JobQueue,
     JobRecord,
-    JobSizeProfile,
     JobSpec,
     Tenant,
-    TrafficProfile,
     generate_arrivals,
     make_tenant_fleet,
 )
 from repro.platform.arrivals import diurnal_rate
+from repro.scenarios.spec import JobMixSpec, TrafficSpec
 from repro.sim import RandomStreams
 
 
@@ -65,11 +64,14 @@ def test_jobrecord_lifecycle_properties():
 
 
 # -- arrivals -------------------------------------------------------------
+HOUR = TrafficSpec(horizon_s=3600.0)
+GRADES = (1024, 2048)
+
+
 def test_arrivals_deterministic_and_sorted():
     tenants = make_tenant_fleet(6)
-    profile, sizes = TrafficProfile(), JobSizeProfile()
-    a = generate_arrivals(tenants, profile, sizes, RandomStreams(seed=7), 3600.0)
-    b = generate_arrivals(tenants, profile, sizes, RandomStreams(seed=7), 3600.0)
+    a = generate_arrivals(tenants, HOUR, JobMixSpec(), GRADES, RandomStreams(seed=7))
+    b = generate_arrivals(tenants, HOUR, JobMixSpec(), GRADES, RandomStreams(seed=7))
     assert a == b
     times = [t for t, _ in a]
     assert times == sorted(times)
@@ -78,12 +80,11 @@ def test_arrivals_deterministic_and_sorted():
 
 def test_arrivals_per_tenant_streams_are_independent():
     """Adding a tenant must not perturb existing tenants' schedules."""
-    profile, sizes = TrafficProfile(), JobSizeProfile()
     small = generate_arrivals(
-        make_tenant_fleet(3), profile, sizes, RandomStreams(seed=7), 3600.0
+        make_tenant_fleet(3), HOUR, JobMixSpec(), GRADES, RandomStreams(seed=7)
     )
     large = generate_arrivals(
-        make_tenant_fleet(5), profile, sizes, RandomStreams(seed=7), 3600.0
+        make_tenant_fleet(5), HOUR, JobMixSpec(), GRADES, RandomStreams(seed=7)
     )
     small_ids = {spec.tenant_id for _, spec in small}
     kept = [(t, s) for t, s in large if s.tenant_id in small_ids]
@@ -91,7 +92,7 @@ def test_arrivals_per_tenant_streams_are_independent():
 
 
 def test_diurnal_rate_peaks_at_peak_time_and_bursts_multiply():
-    profile = TrafficProfile(
+    profile = TrafficSpec(
         mean_rate_per_h=6.0, diurnal_amplitude=0.5, peak_time_s=1000.0,
         period_s=4000.0, burst_multiplier=5.0,
     )
@@ -104,8 +105,7 @@ def test_diurnal_rate_peaks_at_peak_time_and_bursts_multiply():
 
 def test_arrival_job_ids_are_unique():
     arrivals = generate_arrivals(
-        make_tenant_fleet(4), TrafficProfile(), JobSizeProfile(),
-        RandomStreams(seed=1), 3600.0,
+        make_tenant_fleet(4), HOUR, JobMixSpec(), GRADES, RandomStreams(seed=1),
     )
     ids = [spec.job_id for _, spec in arrivals]
     assert len(ids) == len(set(ids))

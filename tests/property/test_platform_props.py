@@ -22,8 +22,8 @@ from repro.platform import (
     SharedPool,
     Tenant,
 )
-from repro.platform.scenario import ScenarioConfig, run_scenario
-from repro.platform.arrivals import JobSizeProfile, TrafficProfile
+from repro.platform.scenario import run_scenario
+from repro.scenarios.spec import JobMixSpec, PoolSpec, PricingSpec, TrafficSpec
 from repro.sim import Environment, Monitor, RandomStreams
 from repro.storage import KVStore
 
@@ -113,12 +113,14 @@ def test_same_submission_trace_yields_identical_digest(jobs, seed):
 @settings(max_examples=5, deadline=None)
 @given(st.integers(min_value=0, max_value=1000))
 def test_full_scenario_digest_is_seed_stable(seed):
-    config = ScenarioConfig(
-        seed=seed, n_tenants=4, horizon_s=900.0, pool_concurrency=4,
-        traffic=TrafficProfile(mean_rate_per_h=12.0),
-        sizes=JobSizeProfile(max_workers=3, min_steps=3, max_steps=8),
+    args = (
+        seed,
+        TrafficSpec(tenants=4, horizon_s=900.0, mean_rate_per_h=12.0),
+        JobMixSpec(max_workers=3, min_steps=3, max_steps=8),
+        PoolSpec(concurrency=4),
+        PricingSpec(),
     )
-    first = run_scenario(config)
-    second = run_scenario(config)
+    first = run_scenario(*args)
+    second = run_scenario(*args)
     assert first.digest == second.digest
     assert first.metrics == second.metrics

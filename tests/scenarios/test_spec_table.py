@@ -7,6 +7,7 @@ numeric keys), one below ``ge``, one above ``le`` and a value outside
 ``choices`` must each raise ``SpecError`` whose ``.path`` is exactly
 ``section.key``; a key or section declared ``only=`` one scenario kind
 must be refused, at its own path, in a document of the other kind.
+And no platform key is dead: moving any one of them changes the run.
 """
 
 import copy
@@ -17,6 +18,7 @@ import typing
 import pytest
 
 from repro.faults import FaultProfile
+from repro.platform.scenario import run_scenario
 from repro.scenarios import (
     FaultSpec,
     JobMixSpec,
@@ -28,7 +30,6 @@ from repro.scenarios import (
     load_spec_text,
     spec_from_dict,
 )
-from repro.scenarios.compiler import _platform_config
 
 NAN, INF = float("nan"), float("inf")
 
@@ -204,17 +205,28 @@ def test_unknown_key_names_the_sorted_known_keys(section):
 def test_named_fault_profile_refuses_inline_keys_off_their_default(name, value):
     """A preset lowers to the registry entry and dumps as its name, so an
     inline magnitude beside it would be silently ignored and then lost."""
-    doc = doc_with("faults", "profile", "crash")
-    doc["faults"][name] = value
-    with pytest.raises(SpecError) as excinfo:
-        spec_from_dict(doc)
-    assert str(excinfo.value) == (
-        "faults: sets both a named 'profile' and inline rates; pick one"
-    )
-    # ... while the same key spelled out at its default changes nothing.
     default = FaultSpec.__dataclass_fields__[name].default
-    doc["faults"][name] = list(default) if isinstance(default, tuple) else default
-    assert spec_from_dict(doc).faults == FaultSpec(profile="crash")
+    # ... and so would the same key spelled out at its default, which is
+    # the spec's default, not the preset's value: "crash" runs
+    # crash_window_s = (0.5, 15.0) whatever is written beside it.
+    for written in (value, list(default) if isinstance(default, tuple) else default):
+        doc = doc_with("faults", "profile", "crash")
+        doc["faults"][name] = written
+        with pytest.raises(SpecError) as excinfo:
+            spec_from_dict(doc)
+        assert str(excinfo.value) == (
+            "faults: sets both a named 'profile' and inline rates; pick one"
+        )
+
+
+def test_named_fault_profile_refuses_a_rate_written_at_zero():
+    """``chaos`` crashes at 0.2; ``crash_rate = 0.0`` beside it was accepted,
+    ran at 0.2, and the author's key vanished from the dump."""
+    doc = doc_with("faults", "profile", "chaos")
+    assert spec_from_dict(doc).faults.to_profile("t").crash_rate == 0.2
+    doc["faults"].update(crash_rate=0.0, max_storage_retries=4)
+    with pytest.raises(SpecError, match="pick one"):
+        spec_from_dict(doc)
 
 
 # -- only= : keys and sections that belong to one scenario kind --------------
@@ -280,37 +292,72 @@ def test_kind_only_section_is_rejected_in_the_other_kind(section):
     )
 
 
-# -- by-name lowering reaches every key -------------------------------------
+# -- no dead key: every platform key reaches the run ------------------------
+
+#: a small *contended* platform run (about 150 jobs on 4 slots) in which
+#: burst windows open and a head that does not fit seals the sweep, so
+#: every key below has something to act on
+LIVE_BASE = {
+    "traffic": TrafficSpec(
+        tenants=6, horizon_s=1500.0, mean_rate_per_h=40.0, peak_time_s=600.0,
+        period_s=1500.0, bursts_per_h=3.0, burst_len_s=120.0,
+    ),
+    "jobs": JobMixSpec(max_workers=4, min_steps=3, max_steps=10),
+    "pool": PoolSpec(
+        concurrency=4, keep_alive_s=60.0, scale_to_zero_after_s=20.0, max_skips=0,
+    ),
+    "pricing": PricingSpec(),
+}
+#: each key of the four sections, moved off its LIVE_BASE value
+MOVED = {
+    "traffic.tenants": 7,
+    "traffic.horizon_s": 1600.0,
+    "traffic.mean_rate_per_h": 45.0,
+    "traffic.diurnal_amplitude": 0.3,
+    "traffic.peak_time_s": 900.0,
+    "traffic.period_s": 1200.0,
+    "traffic.bursts_per_h": 4.0,
+    "traffic.burst_len_s": 200.0,
+    "traffic.burst_multiplier": 3.0,
+    "jobs.min_workers": 2,
+    "jobs.max_workers": 3,
+    "jobs.min_steps": 4,
+    "jobs.max_steps": 12,
+    "jobs.step_cpu_median_s": 0.5,
+    "jobs.step_cpu_sigma": 0.2,
+    "jobs.sync_every": 2,
+    "pool.concurrency": 5,
+    "pool.memory_grades_mb": (512, 2048),
+    "pool.keep_alive_s": 90.0,
+    "pool.scale_to_zero_after_s": 40.0,
+    "pool.max_skips": 2,
+    "pricing.rate_per_gb_s": 2e-5,
+    "pricing.idle_rate_fraction": 0.5,
+}
 
 
-def off_default(section_cls):
-    """An instance with every key moved off its default."""
-    changed = {}
-    for f in dataclasses.fields(section_cls):
-        value = f.default
-        if isinstance(value, tuple):
-            changed[f.name] = tuple(x * 2 for x in value)
-        else:
-            changed[f.name] = value / 2 if isinstance(value, float) else value + 1
-    return section_cls(**changed)
+def observe_platform(sections):
+    """What a platform run shows: (trace digest, metrics, idle cost per tenant)."""
+    result = run_scenario(0, *(sections[name] for name in LIVE_BASE))
+    idle = {t: inv.idle_cost for t, inv in result.report.invoices.items()}
+    return result.digest, result.metrics, idle
 
 
-def test_platform_lowering_carries_every_key():
-    traffic, jobs, pool, pricing = map(
-        off_default, (TrafficSpec, JobMixSpec, PoolSpec, PricingSpec)
-    )
-    config = _platform_config(
-        ScenarioSpec(name="t", kind="platform", traffic=traffic, jobs=jobs,
-                     pool=pool, pricing=pricing)
-    )
-    renamed = {"tenants": "n_tenants", "concurrency": "pool_concurrency"}
-    carriers = (config, config.traffic, config.sizes, config.economics)
-    for section in (traffic, jobs, pool, pricing):
-        for f in dataclasses.fields(section):
-            name = renamed.get(f.name, f.name)
-            found = [getattr(c, name) for c in carriers if hasattr(c, name)]
-            assert found, f"{type(section).__name__}.{f.name} is dropped"
-            assert all(v == getattr(section, f.name) for v in found), f.name
+def test_every_platform_key_changes_the_run():
+    """The sections *are* the platform's configuration, so a key the run
+    ignores is a dead key: moving any one of them must move the outcome."""
+    declared = [
+        f"{name}.{f.name}"
+        for name, section in LIVE_BASE.items()
+        for f in dataclasses.fields(section)
+    ]
+    assert declared == list(MOVED)
+    base = observe_platform(LIVE_BASE)
+    assert base[1]["queue_wait_p95_s"] > 0.0  # contended, or nothing to move
+    for dotted, value in MOVED.items():
+        name, key = dotted.split(".")
+        moved = {**LIVE_BASE, name: dataclasses.replace(LIVE_BASE[name], **{key: value})}
+        assert observe_platform(moved) != base, f"{dotted} does not reach the run"
 
 
 def test_inline_faults_lower_every_key_but_profile():

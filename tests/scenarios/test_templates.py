@@ -73,6 +73,23 @@ def test_template_dump_is_pinned(name):
     assert digests == DUMP_PINS[name]
 
 
+#: the platform templates' whole KPI payload digests.  No ML and no BLAS
+#: runs in these two, so the literals are portable; a moved one is a
+#: behaviour change in the platform, the compiler or the KPI roll-up.
+KPI_PINS = {
+    "diurnal-multi-tenant": (
+        "746df721c30e8c645203cd95c46106d109d790e779cd24376ba4f94f3835a49e"
+    ),
+    "spot-capacity-crunch": (
+        "ee2a4547ccc02d5fe4fc71eebb60f7813d5f0434eea6eb9731fbefb4c16aa259"
+    ),
+}
+
+
+def test_every_platform_template_has_a_kpi_pin():
+    assert sorted(KPI_PINS) == [n for n in NAMES if load(n).kind == "platform"]
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_template_digest_stable_across_reruns(name):
     spec = load(name)
@@ -81,6 +98,8 @@ def test_template_digest_stable_across_reruns(name):
     assert first["digest"] == second["digest"], (
         f"template {name!r} is not seed-deterministic"
     )
+    if name in KPI_PINS:
+        assert first["digest"] == KPI_PINS[name]
     # reconciliation ran (it raises on any mismatch, so presence == pass)
     assert first["reconciliation"]
     if spec.kind == "platform":

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store and Container."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -182,66 +182,3 @@ def test_store_invalid_capacity():
     with pytest.raises(ValueError):
         Store(Environment(), capacity=0)
 
-
-# --------------------------------------------------------------- Container
-def test_container_put_get():
-    env = Environment()
-    tank = Container(env, capacity=100, init=10)
-
-    def proc():
-        yield tank.get(5)
-        yield tank.put(20)
-        return tank.level
-
-    p = env.process(proc())
-    env.run()
-    assert p.value == 25
-
-
-def test_container_get_blocks_until_level():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-
-    def consumer():
-        yield tank.get(10)
-        return env.now
-
-    def producer():
-        yield env.timeout(3)
-        yield tank.put(10)
-
-    p = env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert p.value == 3
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-
-    def producer():
-        yield tank.put(5)
-        return env.now
-
-    def consumer():
-        yield env.timeout(2)
-        yield tank.get(5)
-
-    p = env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert p.value == 2
-
-
-def test_container_validates_arguments():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)
-    tank = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)

@@ -12,7 +12,6 @@ from repro.storage import (
     KVStore,
     MessageQueue,
     ObjectStore,
-    QueueClosed,
     payload_size,
 )
 
@@ -120,18 +119,6 @@ def test_object_store_delete_idempotent():
     assert run_proc(env, proc()) == 0
 
 
-def test_object_store_list_keys_prefix():
-    env, streams = make_world()
-    cos = ObjectStore(env, streams, latency=ConstantLatency(0.001))
-    for key in ["a/1", "a/2", "b/1"]:
-        cos.preload("b", key, 0)
-
-    def proc():
-        return (yield from cos.list_keys("b", prefix="a/"))
-
-    assert run_proc(env, proc()) == ["a/1", "a/2"]
-
-
 def test_object_store_metrics_track_requests():
     env, streams = make_world()
     cos = ObjectStore(env, streams, latency=ConstantLatency(0.001))
@@ -182,32 +169,6 @@ def test_kv_get_missing_raises_and_get_or_none():
         env.run()
 
 
-def test_kv_incr_atomic_counter():
-    env, streams = make_world()
-    kv = KVStore(env, streams, latency=ConstantLatency(0.001))
-
-    def proc():
-        yield from kv.incr("c")
-        yield from kv.incr("c", amount=4)
-        return (yield from kv.get("c"))
-
-    assert run_proc(env, proc()) == 5
-
-
-def test_kv_list_operations():
-    env, streams = make_world()
-    kv = KVStore(env, streams, latency=ConstantLatency(0.001))
-
-    def proc():
-        n1 = yield from kv.rpush("log", "a")
-        n2 = yield from kv.rpush("log", "b")
-        length = yield from kv.llen("log")
-        items = yield from kv.lrange("log", 0, 2)
-        return n1, n2, length, items
-
-    assert run_proc(env, proc()) == (1, 2, 2, ["a", "b"])
-
-
 def test_kv_exists_and_delete():
     env, streams = make_world()
     kv = KVStore(env, streams, latency=ConstantLatency(0.001))
@@ -220,20 +181,6 @@ def test_kv_exists_and_delete():
         return a, b
 
     assert run_proc(env, proc()) == (True, False)
-
-
-def test_kv_flush_clears_everything():
-    env, streams = make_world()
-    kv = KVStore(env, streams, latency=ConstantLatency(0.001))
-
-    def proc():
-        yield from kv.set("x", 1)
-        yield from kv.rpush("l", 2)
-
-    run_proc(env, proc())
-    assert kv.key_count() == 2
-    kv.flush()
-    assert kv.key_count() == 0
 
 
 def test_kv_charges_bytes_for_values():
@@ -288,19 +235,6 @@ def test_mq_consume_blocks_until_message():
     assert msg == "late" and t > 5
 
 
-def test_mq_try_consume_nonblocking():
-    env, streams = make_world()
-    mq = MessageQueue(env, streams, latency=ConstantLatency(0.001))
-
-    def proc():
-        nothing = yield from mq.try_consume("q")
-        yield from mq.publish("q", "x")
-        something = yield from mq.try_consume("q")
-        return nothing, something
-
-    assert run_proc(env, proc()) == (None, "x")
-
-
 def test_mq_drain_returns_all_pending():
     env, streams = make_world()
     mq = MessageQueue(env, streams, latency=ConstantLatency(0.001))
@@ -311,19 +245,6 @@ def test_mq_drain_returns_all_pending():
         return (yield from mq.drain("q"))
 
     assert run_proc(env, proc()) == [0, 1, 2]
-
-
-def test_mq_closed_queue_rejects_operations():
-    env, streams = make_world()
-    mq = MessageQueue(env, streams, latency=ConstantLatency(0.001))
-    mq.close("q")
-
-    def proc():
-        yield from mq.publish("q", 1)
-
-    env.process(proc())
-    with pytest.raises(QueueClosed):
-        env.run()
 
 
 def test_mq_depth():

@@ -10,13 +10,7 @@ from repro.pricing import (
     vm_price_per_second,
 )
 from repro.sim import Environment, RandomStreams
-from repro.vm import (
-    VMCluster,
-    VMInstance,
-    broadcast_time,
-    ring_allreduce_time,
-    tree_allreduce_time,
-)
+from repro.vm import VMInstance, ring_allreduce_time, tree_allreduce_time
 
 
 # ----------------------------------------------------------------- pricing
@@ -116,12 +110,6 @@ def test_tree_slower_than_ring_for_large_buffers():
     assert tree_allreduce_time(1e8, 16, 1e9) > ring_allreduce_time(1e8, 16, 1e9)
 
 
-def test_broadcast_time_formula():
-    assert broadcast_time(1e6, 1, 1e9) == 0.0
-    t = broadcast_time(1e6, 8, 1e9, 1e-4)
-    assert t == pytest.approx(3 * (1e-4 + 8e6 / 1e9))
-
-
 def test_collective_validation():
     with pytest.raises(ValueError):
         ring_allreduce_time(-1, 2, 1e9)
@@ -182,51 +170,3 @@ def test_vm_compute_thread_count_capped_at_vcpus():
     env.run()
     assert p.value == pytest.approx(1.0 / (4 * 0.85))
 
-
-# --------------------------------------------------------------- VM cluster
-def test_cluster_boot_opens_leases_and_shutdown_closes():
-    env = Environment()
-    meter = CostMeter()
-    cluster = VMCluster(env, RandomStreams(0), "B1.4x8", 3, meter=meter)
-
-    def proc():
-        yield from cluster.boot()
-        yield env.timeout(3600)
-        cluster.shutdown()
-
-    env.process(proc())
-    env.run()
-    assert cluster.boot_duration is not None and cluster.boot_duration > 30
-    # 3 instances, leased from boot start to shutdown.
-    expected = 3 * (cluster.boot_duration + 3600) * 0.20 / 3600
-    assert meter.total_cost() == pytest.approx(expected, rel=1e-6)
-
-
-def test_cluster_allreduce_advances_clock():
-    env = Environment()
-    cluster = VMCluster(env, RandomStreams(0), "B1.4x8", 4)
-
-    def proc():
-        yield from cluster.boot()
-        before = env.now
-        yield from cluster.allreduce(10e6)
-        return env.now - before
-
-    p = env.process(proc())
-    env.run()
-    expected = ring_allreduce_time(10e6, 4, 1e9)
-    assert p.value == pytest.approx(expected)
-
-
-def test_cluster_validates_arguments():
-    env = Environment()
-    with pytest.raises(ValueError):
-        VMCluster(env, RandomStreams(0), "B1.4x8", 0)
-    with pytest.raises(ValueError):
-        VMCluster(env, RandomStreams(0), "B1.4x8", 2, collective="star")
-
-
-def test_cluster_total_vcpus():
-    env = Environment()
-    cluster = VMCluster(env, RandomStreams(0), "B1.4x8", 6)
-    assert cluster.total_vcpus == 24
