@@ -67,6 +67,10 @@ class AutoTunerConfig:
             )
         if self.knee_method not in ("slope", "kneedle"):
             raise ValueError(f"unknown knee_method {self.knee_method!r}")
+        if self.enabled:
+            # Pay for the curve fitter while the job is configured (set-up,
+            # and before a procs fork), not in the supervisor's first knee fit.
+            import scipy.optimize  # noqa: F401
 
 
 def pipeline_shape_error(model: Model, n_workers: int, stages: int) -> Optional[Tuple[str, str]]:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
-__all__ = ["ReferenceCurve", "SlowCurve", "CurveFitError"]
+__all__ = ["ReferenceCurve", "SlowCurve", "CurveFitError", "prediction_error"]
 
 _EPS = 1e-12
 
@@ -41,7 +40,7 @@ def _slow_form(t, a, b, c, d):
     return 1.0 / (a * t * t + b * t + c + _EPS) + d
 
 
-def _fit(form, t, y, p0, maxfev=20000) -> np.ndarray:
+def _fit(form, t, y, p0) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if t.shape != y.shape or t.ndim != 1:
@@ -50,6 +49,10 @@ def _fit(form, t, y, p0, maxfev=20000) -> np.ndarray:
         raise CurveFitError(f"need >= 5 points to fit, got {len(t)}")
     if np.any(t <= 0):
         raise ValueError("steps must be positive (1-based)")
+    # Imported here, its only use, so `import repro` stays SciPy-free; a job
+    # with the tuner on has already resolved it in AutoTunerConfig.
+    from scipy.optimize import curve_fit
+
     try:
         theta, _ = curve_fit(
             form,
@@ -57,7 +60,7 @@ def _fit(form, t, y, p0, maxfev=20000) -> np.ndarray:
             y,
             p0=p0,
             bounds=(0.0, np.inf),
-            maxfev=maxfev,
+            maxfev=20000,
         )
     except (RuntimeError, ValueError) as exc:
         raise CurveFitError(f"curve fit failed: {exc}") from exc

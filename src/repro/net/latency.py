@@ -2,7 +2,7 @@
 
 Each model turns a named RNG stream into per-request latency samples.
 The object store, KV store and message queue each own one model; the
-defaults in :mod:`repro.experiments.calibration` set them to the orders of
+defaults in :mod:`repro.calibration` set them to the orders of
 magnitude the paper reports (object storage: hundreds of milliseconds,
 Redis: ~1 ms, messaging: a few ms).
 """

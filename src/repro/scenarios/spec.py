@@ -51,6 +51,7 @@ from typing import (
 from ..core import capabilities as cap
 from ..core.config import pipeline_shape_error
 from ..experiments.settings import WORKLOADS
+from ..faas.limits import FaaSLimits
 from ..faults import FAULT_PROFILES, FaultProfile
 
 __all__ = [
@@ -456,8 +457,10 @@ class PoolSpec(_Section):
 
     #: sized so the default diurnal peak (plus bursts) really queues jobs
     concurrency: int = key(12, ge=1)
-    #: function sizes the pool registers; each job draws one of them
-    memory_grades_mb: Tuple[int, ...] = key((1024, 2048), ge=128)
+    #: function sizes the pool registers (each job draws one), inside the platform's range
+    memory_grades_mb: Tuple[int, ...] = key(
+        (1024, 2048), ge=FaaSLimits.min_memory_mb, le=FaaSLimits.max_memory_mb
+    )
     keep_alive_s: float = key(180.0, ge=0.0)
     scale_to_zero_after_s: float = key(60.0, ge=0.0)
     max_skips: int = key(8, ge=0)

@@ -17,6 +17,7 @@ from repro.core.capabilities import (
     TABLE,
     CONFLICTS,
 )
+from repro.faas import FaaSLimits
 from repro.faults import FAULT_PROFILES
 from repro.scenarios import (
     FaultSpec,
@@ -187,6 +188,18 @@ class TestCrossValidation:
         assert msg.startswith(
             "jobs.max_workers: must be <= pool.concurrency (4), got 9"
         )
+
+    def test_memory_grade_above_the_faas_limit(self):
+        # Used to validate and then die mid-run in FaaSLimits.validate_memory.
+        msg, path = err(minimal_platform(pool={"memory_grades_mb": [1024, 4096]}))
+        assert path == "pool.memory_grades_mb"
+        assert msg == "pool.memory_grades_mb: items must be <= 2048, got 4096"
+        msg, _ = err(minimal_platform(pool={"memory_grades_mb": [64]}))
+        assert msg == "pool.memory_grades_mb: items must be >= 128, got 64"
+        # the bounds are the platform's own, so every accepted grade registers
+        for grade in (128, 2048):
+            spec_from_dict(minimal_platform(pool={"memory_grades_mb": [grade]}))
+            FaaSLimits().validate_memory(grade)
 
     def test_profile_and_inline_rates_conflict(self):
         msg, _ = err(

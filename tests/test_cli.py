@@ -150,18 +150,8 @@ def test_old_entry_points_are_gone():
 
 
 def test_import_repro_loads_no_cli_module_and_only_the_cli_uses_argparse():
-    import subprocess
-    import sys
-
-    # (numpy.f2py imports argparse on its own, so sys.modules cannot say
-    # whether repro did; the source can.)
-    probe = ("import sys, repro; print(sorted(m for m in sys.modules "
-             "if m.startswith('repro') and m.endswith('cli')))")
-    out = subprocess.run(
-        [sys.executable, "-c", probe], check=True, text=True,
-        capture_output=True, env={"PYTHONPATH": str(REPO / "src")},
-    ).stdout
-    assert out.strip() == "[]"
+    # The sys.modules half (no cli module, no argparse after `import repro`)
+    # is tests/test_startup_contract.py's; the source says who imports it.
     importers = [
         p.relative_to(REPO).as_posix()
         for p in (REPO / "src" / "repro").rglob("*.py")

@@ -1,9 +1,13 @@
 """Unit tests for CSRMatrix and SparseDelta."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.ml.sparse import CSRMatrix, SparseDelta
+
+from .test_hotpath_pins import PINS, _lr_batch, sha_chunks
 
 
 def random_csr(rng, rows=20, cols=30, density=0.2):
@@ -113,6 +117,33 @@ def test_csr_validation_rejects_out_of_range_column():
 def test_csr_from_dense_requires_2d():
     with pytest.raises(ValueError):
         CSRMatrix.from_dense(np.zeros(5))
+
+
+# ------------------------------------------- CSRMatrix without scipy.sparse
+def test_matvec_falls_back_to_the_numpy_kernel_without_scipy(monkeypatch):
+    backed, w, _r = _lr_batch()  # the kernel.matvec pin's input
+    backed.matvec(w)  # the first call builds and self-checks the handle
+    assert backed._spmv is not None and backed._spmv is not False
+    via_scipy = backed.matvec(w)
+
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)  # import -> ImportError
+    bare = CSRMatrix(backed.indptr, backed.indices, backed.data, backed.shape)
+    assert bare._spmv is None
+    first = bare.matvec(w)
+    assert bare._spmv is False
+    for out in (first, bare.matvec(w)):  # the first-use path and the settled one
+        assert out.tobytes() == via_scipy.tobytes()
+        assert sha_chunks(out) == PINS["kernel.matvec"][1]
+
+
+def test_row_slices_fall_back_on_their_own(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    rng = np.random.default_rng(7)
+    csr, dense = random_csr(rng)
+    part = csr.row_slice(5, 15)  # _trusted: resolves nothing until its first matvec
+    w = rng.normal(size=30)
+    np.testing.assert_allclose(part.matvec(w), dense[5:15] @ w)
+    assert part._spmv is False and csr._spmv is None
 
 
 # -------------------------------------------------------------- SparseDelta
