@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-from ..sim import Environment
+from ..sim import Environment, Timeout
 from ..trace.tracer import NO_SPAN, NULL_TRACER
 from .limits import FaaSLimits
 
@@ -128,7 +128,7 @@ class InvocationContext:
                 "compute", "compute", cpu_s=cpu_seconds, wall_s=wall
             )
         try:
-            yield self.env.timeout(wall)
+            yield Timeout(self.env, wall)
         finally:
             if sp >= 0:
                 self.tracer.end(sp)

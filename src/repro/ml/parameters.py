@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -126,6 +126,7 @@ class ModelUpdate:
 
     def __init__(self, deltas: Dict[str, SparseDelta]):
         self._deltas = dict(deltas)
+        self._nbytes: Optional[int] = None
 
     def __iter__(self) -> Iterator[Tuple[str, SparseDelta]]:
         return iter(sorted(self._deltas.items()))
@@ -146,8 +147,12 @@ class ModelUpdate:
 
     @property
     def nbytes(self) -> int:
-        """Wire size (what the KV store charges for)."""
-        return sum(d.nbytes for d in self._deltas.values()) or 8
+        """Wire size (what the KV store charges for), computed once: the
+        deltas and their ``nnz`` are fixed at construction."""
+        size = self._nbytes
+        if size is None:
+            size = self._nbytes = sum(d.nbytes for d in self._deltas.values()) or 8
+        return size
 
     def scale(self, factor: float) -> "ModelUpdate":
         return ModelUpdate({n: d.scale(factor) for n, d in self._deltas.items()})

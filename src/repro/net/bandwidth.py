@@ -1,9 +1,7 @@
 """Bandwidth-shared links.
 
 A :class:`Link` models a network pipe of fixed capacity (bits/s) shared by
-concurrent transfers with fair sharing approximated by serialized charging:
-each transfer holds a slot while its bytes drain at the full or divided
-rate.  Two models are provided:
+concurrent transfers.  Two models are provided:
 
 ``Link``
     Processor-sharing approximation: a transfer of ``n`` bytes observes a
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..sim import Environment
+from ..sim import Environment, Timeout
 from ..trace.tracer import NO_SPAN, NULL_TRACER
 
 __all__ = ["Link", "Nic", "transfer_time"]
@@ -39,10 +37,11 @@ def transfer_time(size_bytes: float, rate_bits_per_s: float) -> float:
 class Link:
     """A shared pipe with processor-sharing bandwidth division.
 
-    The sharing model is approximate: a transfer computes its duration when
-    it starts, using the instantaneous number of active transfers
-    (including itself).  This keeps the kernel simple while preserving the
-    qualitative contention behaviour the experiments rely on.
+    One transfer executes, in order: join the active set; fix its duration
+    once, from the number of transfers active at that instant (itself
+    included — later arrivals do not slow it, hence "approximate"); open
+    its span (tracing on, size > 0); one timeout; count bytes and the
+    transfer; close the span and leave the active set on every exit.
     """
 
     def __init__(
@@ -75,27 +74,27 @@ class Link:
         """
         if size_bytes < 0:
             raise ValueError(f"size must be >= 0, got {size_bytes}")
-        self._active += 1
+        self._active = active = self._active + 1
+        sp = NO_SPAN
         try:
-            rate = self.capacity_bps / self._active
-            duration = transfer_time(size_bytes, rate)
-            sp = NO_SPAN
-            if self.tracer.enabled and size_bytes > 0:
+            # transfer_time(size_bytes, capacity_bps / active), inline: its
+            # argument checks hold here (size checked above, capacity in
+            # __init__, active >= 1).
+            duration = (size_bytes * 8.0) / (self.capacity_bps / active)
+            if size_bytes > 0 and self.tracer.enabled:
                 sp = self.tracer.begin(
                     "net.transfer",
                     self.name,
                     bytes=size_bytes,
-                    active=self._active,
+                    active=active,
                     duration_s=duration,
                 )
-            try:
-                yield self.env.timeout(duration)
-                self.bytes_moved += size_bytes
-                self.transfers += 1
-            finally:
-                if sp >= 0:
-                    self.tracer.end(sp)
+            yield Timeout(self.env, duration)
+            self.bytes_moved += size_bytes
+            self.transfers += 1
         finally:
+            if sp >= 0:
+                self.tracer.end(sp)
             self._active -= 1
 
     def __repr__(self) -> str:

@@ -86,10 +86,13 @@ class LognormalLatency(LatencyModel):
             raise ValueError(f"median must be > 0, got {self.median}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        # The underlying normal's mean, once per model instead of once per
+        # draw.  Not a field: ==, hash and repr stay (median, sigma, cap).
+        object.__setattr__(self, "_mu", np.log(self.median))
 
     def sample(self, rng: np.random.Generator) -> float:
-        value = float(rng.lognormal(mean=np.log(self.median), sigma=self.sigma))
-        return min(value, self.cap)
+        value = float(rng.lognormal(self._mu, self.sigma))
+        return self.cap if self.cap < value else value
 
     def mean(self) -> float:
         # E[lognormal] = exp(mu + sigma^2/2); the cap is ignored here since

@@ -111,12 +111,12 @@ def training_job_machine(ctx: ExecutionContext, payload: Dict[str, Any]) -> Mach
     step_cpu_s = payload["step_cpu_s"]
     sync_every = payload.get("sync_every", 0)
     ctx.annotate(job=job_id, tenant=tenant_id, worker=worker)
+    services = ctx.services
+    prefix = f"platform/{job_id}/w{worker}/"
     for step in range(steps):
-        yield ctx.services.compute(step_cpu_s)
+        yield services.compute(step_cpu_s)
         if sync_every and (step + 1) % sync_every == 0:
-            yield ctx.services.kv_set(
-                f"platform/{job_id}/w{worker}/u{step + 1}", float(step + 1)
-            )
+            yield services.kv_set(f"{prefix}u{step + 1}", float(step + 1))
     # Final model shard publish: the job's result artifact.
-    yield ctx.services.kv_set(f"platform/{job_id}/w{worker}/final", float(steps))
+    yield services.kv_set(f"{prefix}final", float(steps))
     return {"job": job_id, "worker": worker, "steps": steps}

@@ -199,9 +199,9 @@ class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
     Timeouts are born triggered, so ``__init__`` writes the slots
-    directly instead of going through :class:`Event` and overwriting —
-    this is the hottest constructor in the simulator (every simulated
-    latency is one).
+    directly instead of going through :class:`Event` and overwriting,
+    and inlines :meth:`Environment._schedule` — this is the hottest
+    constructor in the simulator (every simulated latency is one).
     """
 
     __slots__ = ("delay",)
@@ -215,7 +215,12 @@ class Timeout(Event):
         self._ok = True
         self.defused = False
         self.delay = delay
-        env._schedule(self, delay=delay)
+        seq = env._seq
+        env._seq = seq + 1
+        if delay == 0.0:
+            env._nowq.append((env._now, seq, self))
+        else:
+            heapq.heappush(env._heap, (env._now + delay, seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -305,10 +310,14 @@ class Process(Event):
                     next_event = generator.throw(event._value)
             except StopIteration as exc:
                 env._active_process = None
+                # _resume_cb makes self a reference cycle: drop it, so a
+                # finished process is freed by refcount, not the collector.
+                self._generator = self._resume_cb = None
                 self.succeed(exc.value)
                 return
             except BaseException as exc:
                 env._active_process = None
+                self._generator = self._resume_cb = None
                 self.fail(exc)
                 return
 
@@ -323,6 +332,7 @@ class Process(Event):
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
                 )
                 generator.close()
+                self._generator = self._resume_cb = None
                 self.fail(error)
                 return
 

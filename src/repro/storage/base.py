@@ -1,13 +1,20 @@
 """Common machinery for simulated storage services.
 
-Every service (object store, KV store, message queue) charges each request
+Every service (object store, KV store, message queue) charges a request
+through one generator, :meth:`StorageService._charge`, which runs in this
+order (pinned by ``tests/property/test_request_equivalence.py``):
 
-* a per-request latency drawn from a :class:`~repro.net.LatencyModel`, and
-* a transfer time for the payload bytes over the service's shared
-  :class:`~repro.net.Link` (so concurrent requests contend), and
+1. open the request's tracer span (tracing on only);
+2. retry injected transient errors (fault injector attached only): per
+   failed attempt a latency round-trip, then a back-off;
+3. count the request; one timeout of a latency drawn from the service's
+   :class:`~repro.net.LatencyModel` (one RNG draw);
+4. one timeout for the payload bytes over the service's shared
+   :class:`~repro.net.Link` (so concurrent requests contend);
+5. byte and busy-time metrics; the span closes on every exit.
 
-records per-operation metrics.  Subclasses implement the data semantics;
-this module owns the timing and accounting so they all behave consistently.
+Callers size the payload once (:meth:`StorageService.size_of`).  Subclasses
+implement the data semantics; this module owns timing and accounting.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Dict, Generator
 import numpy as np
 
 from ..net import LatencyModel, Link
-from ..sim import Environment, RandomStreams
+from ..sim import Environment, RandomStreams, Timeout
 from ..trace.tracer import NO_SPAN, NULL_TRACER
 from .errors import TransientStorageError
 from .sizing import payload_size
@@ -84,46 +91,50 @@ class StorageService:
     def _charge(
         self, op: str, payload_bytes: float, inbound: bool, detail=None
     ) -> Generator:
-        """Process generator: charge latency + transfer for one request."""
+        """Process generator: one request, in the module docstring's order."""
+        tracer = self.tracer
         sp = NO_SPAN
-        if self.tracer.enabled:
+        if tracer.enabled:
             attrs = {"service": self.name, "bytes": payload_bytes}
             if detail is not None:
                 attrs["key"] = detail
-            sp = self.tracer.begin(f"{self.trace_kind}.{op}", op, **attrs)
+            sp = tracer.begin(f"{self.trace_kind}.{op}", op, **attrs)
         try:
-            yield from self._charge_inner(op, payload_bytes, inbound)
+            if self.faults is not None:
+                yield from self._injected_failures(op)
+            env = self.env
+            metrics = self.metrics
+            # env._now, not env.now: the property is a Python frame per read.
+            start = env._now
+            metrics.requests[op] = metrics.requests.get(op, 0) + 1
+            yield Timeout(env, self.latency.sample(self._rng))
+            yield from self.link.transfer(payload_bytes)
+            if inbound:
+                metrics.bytes_in += payload_bytes
+            else:
+                metrics.bytes_out += payload_bytes
+            metrics.busy_time += env._now - start
         finally:
             if sp >= 0:
-                self.tracer.end(sp)
+                tracer.end(sp)
 
-    def _charge_inner(
-        self, op: str, payload_bytes: float, inbound: bool
-    ) -> Generator:
-        if self.faults is not None:
-            attempts = 0
-            while self.faults.storage_should_fail(self.name):
-                attempts += 1
-                self.metrics.count(f"{op}.error")
-                # The failed attempt still costs a round-trip.
-                yield self.env.timeout(self.latency.sample(self._rng))
-                if attempts > self.faults.profile.max_storage_retries:
-                    raise TransientStorageError(self.name, op, attempts)
-                self.faults.stats.note_recovered("storage_retry")
-                backoff = min(
-                    _RETRY_BACKOFF_BASE_S * 2 ** (attempts - 1),
-                    _RETRY_BACKOFF_CAP_S,
-                )
-                yield self.env.timeout(backoff)
-        start = self.env.now
-        self.metrics.count(op)
-        yield self.env.timeout(self.latency.sample(self._rng))
-        yield from self.link.transfer(payload_bytes)
-        if inbound:
-            self.metrics.bytes_in += payload_bytes
-        else:
-            self.metrics.bytes_out += payload_bytes
-        self.metrics.busy_time += self.env.now - start
+    def _injected_failures(self, op: str) -> Generator:
+        """Client-side retries of injected transient errors (step 2)."""
+        faults = self.faults
+        attempts = 0
+        while faults.storage_should_fail(self.name):
+            attempts += 1
+            self.metrics.count(f"{op}.error")
+            # The failed attempt still costs a round-trip.
+            yield self.env.timeout(self.latency.sample(self._rng))
+            if attempts > faults.profile.max_storage_retries:
+                raise TransientStorageError(self.name, op, attempts)
+            faults.stats.note_recovered("storage_retry")
+            backoff = min(
+                _RETRY_BACKOFF_BASE_S * 2 ** (attempts - 1),
+                _RETRY_BACKOFF_CAP_S,
+            )
+            yield self.env.timeout(backoff)
 
     @staticmethod
     def size_of(obj) -> int:

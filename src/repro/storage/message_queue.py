@@ -64,25 +64,28 @@ class MessageQueue(StorageService):
         (at-most-once loss) or delivered twice (at-least-once redelivery);
         the publisher is always charged for the attempt either way.
         """
-        store = self._store(queue)
-        yield from self._charge(
-            "publish", self.size_of(message), inbound=True, detail=queue
-        )
+        self.declare(queue)
+        size = self.size_of(message)
+        yield from self._charge("publish", size, inbound=True, detail=queue)
+        self._deliver(queue, (message, size))
+
+    def _deliver(self, queue: str, item: tuple) -> None:
+        """Enqueue ``(message, wire size)`` into a declared queue: a message
+        is sized once, by its publisher; consumers are charged that size."""
+        store = self._queues[queue]
         if self.faults is not None:
             fate = self.faults.message_fate(queue)
             if fate == "drop":
                 return
             if fate == "duplicate":
-                store.put(message)
-        store.put(message)  # unbounded store: put never blocks
+                store.put(item)
+        store.put(item)  # unbounded store: put never blocks
 
     def consume(self, queue: str) -> Generator:
         """Process generator: block until a message arrives, return it."""
         store = self._store(queue)
-        message = yield store.get()
-        yield from self._charge(
-            "consume", self.size_of(message), inbound=False, detail=queue
-        )
+        message, size = yield store.get()
+        yield from self._charge("consume", size, inbound=False, detail=queue)
         return message
 
     def consume_with_timeout(self, queue: str, timeout_s: float) -> Generator:
@@ -97,10 +100,8 @@ class MessageQueue(StorageService):
         timeout = self.env.timeout(timeout_s)
         yield get | timeout
         if get.triggered:
-            message = get.value
-            yield from self._charge(
-                "consume", self.size_of(message), inbound=False, detail=queue
-            )
+            message, size = get.value
+            yield from self._charge("consume", size, inbound=False, detail=queue)
             return message
         store.cancel_get(get)
         yield from self._charge("poll", 8, inbound=False, detail=queue)
@@ -109,12 +110,12 @@ class MessageQueue(StorageService):
     def drain(self, queue: str) -> Generator:
         """Consume every currently queued message; returns a list."""
         store = self._store(queue)
-        messages: List[Any] = []
+        items: List[tuple] = []
         while len(store) > 0:
-            messages.append((yield store.get()))
-        size = sum(self.size_of(m) for m in messages) if messages else 8
+            items.append((yield store.get()))
+        size = sum(size for _, size in items) if items else 8
         yield from self._charge("drain", size, inbound=False, detail=queue)
-        return messages
+        return [message for message, _ in items]
 
     def depth(self, queue: str) -> int:
         """Messages currently waiting in ``queue`` (no time charged)."""
@@ -154,11 +155,14 @@ class Exchange:
                 exchange=self.name,
                 queues=len(self._bindings),
             )
+        mq = self.mq
         try:
+            size = mq.size_of(message)  # once for the whole fan-out
             for queue in list(self._bindings):
                 if queue == exclude:
                     continue
-                yield from self.mq.publish(queue, message)
+                yield from mq._charge("publish", size, inbound=True, detail=queue)
+                mq._deliver(queue, (message, size))
         finally:
             if sp >= 0:
                 tracer.end(sp)

@@ -32,11 +32,24 @@ def payload_size(obj: Any) -> int:
 
 
 def _body_size(obj: Any) -> int:
-    if obj is None:
-        return 1
-    nbytes = getattr(obj, "nbytes", None)
-    if nbytes is not None and isinstance(nbytes, (int, np.integer)):
-        return int(nbytes)
+    # Exact types first for the hot leaves (none has ``nbytes``); ``bool``
+    # and the NumPy scalars are subclasses and take the generic ladder.
+    kind = type(obj)
+    if kind is float or kind is int:
+        return 8
+    if kind is str:
+        return len(obj) if obj.isascii() else len(obj.encode("utf-8"))
+    if kind is not dict:
+        if obj is None:
+            return 1
+        nbytes = getattr(obj, "nbytes", None)
+        if nbytes is not None and isinstance(nbytes, (int, np.integer)):
+            return int(nbytes)
+    if isinstance(obj, dict):
+        size = CONTAINER_ITEM_OVERHEAD * len(obj)
+        for key, value in obj.items():
+            size += _body_size(key) + _body_size(value)
+        return size
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)
     if isinstance(obj, str):
@@ -45,11 +58,6 @@ def _body_size(obj: Any) -> int:
         return 1
     if isinstance(obj, (int, float, np.integer, np.floating)):
         return 8
-    if isinstance(obj, dict):
-        return sum(
-            CONTAINER_ITEM_OVERHEAD + _body_size(k) + _body_size(v)
-            for k, v in obj.items()
-        )
     if isinstance(obj, (list, tuple, set, frozenset)):
         return sum(CONTAINER_ITEM_OVERHEAD + _body_size(v) for v in obj)
     raise TypeError(

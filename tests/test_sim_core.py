@@ -1,6 +1,8 @@
 """Unit tests for the DES kernel (repro.sim.core)."""
 
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -272,6 +274,35 @@ def test_interrupt_dead_process_rejected():
     env.run()
     with pytest.raises(SimulationError):
         p.interrupt()
+
+
+def test_finished_process_is_freed_by_refcount_not_the_cycle_collector():
+    """A process must not stay a reference cycle with itself once it ends:
+    its generator frame, payload and result would wait for the collector."""
+
+    class Result:
+        pass
+
+    env = Environment()
+
+    def worker():
+        yield env.timeout(1)
+        return Result()
+
+    gc.collect()
+    gc.disable()
+    try:
+        p = env.process(worker())
+        env.run()
+        assert not p.is_alive and p.target is not None
+        with pytest.raises(SimulationError):
+            p.interrupt()
+        held = weakref.ref(p.value)  # Process has __slots__: watch what it holds
+        assert held() is not None
+        del p
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def test_self_interrupt_rejected():
