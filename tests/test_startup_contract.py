@@ -38,7 +38,8 @@ def stage(name):
         "third_party": sorted(roots - set(sys.stdlib_module_names) - {"repro"}),
         "argparse": "argparse" in sys.modules,
         "cli": sorted(m for m in new if m.startswith("repro") and m.endswith("cli")),
-        "count": len(sys.modules),
+        "boot": len(_boot),
+        "count": len(new),
     }
 """
 
@@ -123,8 +124,16 @@ def test_import_repro_loads_neither_argparse_nor_a_cli_module():
 
 
 def test_import_repro_and_scenarios_stay_under_300_modules():
-    # 870 with scipy.optimize at the top of core/curves.py
-    assert probe(TUNER_OFF)["import repro.scenarios"]["count"] <= 300
+    # 267 = 300 - 33: at most 300 in all on a clean CPython 3.11/3.12, whose
+    # start-up set is 33 modules (``env -i python3.12 -c 'import sys;
+    # print(len(sys.modules))'``).  The count is what the import adds beyond
+    # the interpreter's own start-up, because a ``.pth`` hook or
+    # ``sitecustomize`` changes the boot set, not what repro imports.  A boot
+    # set that already holds some of repro's imports makes this laxer than on
+    # a clean host, never stricter.  768 added with scipy.optimize at the top
+    # of core/curves.py.
+    seen = probe(TUNER_OFF)["import repro.scenarios"]
+    assert seen["count"] <= 267, f"boot {seen['boot']}, added {seen['count']}"
 
 
 def test_tuner_on_config_resolves_the_fitter_before_any_run():
