@@ -275,7 +275,7 @@ class LocalSpawner:
 # -- the job skeleton every wall-clock backend shares ------------------------
 
 
-def _discard_estimate(cpu_seconds: float) -> None:
+def _discard_estimate(cpu_seconds: float, steps: int = 1) -> None:
     """Host ``compute``: no artificial delay.  The surrounding numpy
     arithmetic already takes real CPU time here, which is the whole
     point of a wall-clock backend; the calibrated estimate is dropped."""

@@ -86,7 +86,7 @@ class Services:
         kv: Any,
         mq: Any,
         exchange: Any,
-        compute: Callable[[float], Any],
+        compute: Callable[..., Any],
         sleep: Callable[[float], Any],
     ):
         self.cos = cos
@@ -137,8 +137,10 @@ class Services:
         self.exchange.unbind(queue)
 
     # -- execution accounting -------------------------------------------
-    def compute(self, cpu_seconds: float) -> ServiceCall:
-        return partial(self._compute, cpu_seconds)
+    def compute(self, cpu_seconds: float, steps: int = 1) -> ServiceCall:
+        if steps == 1:
+            return partial(self._compute, cpu_seconds)
+        return partial(self._compute, cpu_seconds, steps)
 
     def sleep(self, seconds: float) -> ServiceCall:
         return partial(self._sleep, seconds)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-from ..sim import Environment, Timeout
+from ..sim import Environment, Interrupt, Timeout
 from ..trace.tracer import NO_SPAN, NULL_TRACER
 from .limits import FaaSLimits
 
@@ -107,7 +107,6 @@ class InvocationContext:
         self.services = services
         #: >1.0 when a straggler fault degrades this activation's host
         self.compute_scale = compute_scale
-        self.cpu_seconds_used = 0.0
         #: observability hooks — the enclosing invoke span, if tracing
         self.tracer = tracer
         self.span_id = span_id
@@ -116,19 +115,31 @@ class InvocationContext:
     def now(self) -> float:
         return self.env.now
 
-    def compute(self, cpu_seconds: float) -> Generator:
-        """Charge ``cpu_seconds`` of single-vCPU work at this activation's share."""
+    def compute(self, cpu_seconds: float, steps: int = 1) -> Generator:
+        """Charge ``steps`` back-to-back steps of ``cpu_seconds`` at this activation's share."""
         if cpu_seconds < 0:
             raise ValueError(f"cpu_seconds must be >= 0, got {cpu_seconds}")
         wall = cpu_seconds / self.cpu_share * self.compute_scale
-        self.cpu_seconds_used += cpu_seconds
         sp = NO_SPAN
         if self.tracer.enabled:
             sp = self.tracer.begin(
-                "compute", "compute", cpu_s=cpu_seconds, wall_s=wall
+                "compute", "compute", cpu_s=cpu_seconds * steps, wall_s=wall * steps
             )
         try:
-            yield Timeout(self.env, wall)
+            if steps == 1:
+                yield Timeout(self.env, wall)
+            else:
+                end = start = self.env._now
+                for _ in range(steps):  # one event, at the per-step float chain's end
+                    end += wall
+                timeout = self.env._timeout_at(end)
+                try:
+                    yield timeout
+                except Interrupt:  # fire where the step in progress would have
+                    while start < self.env._now:
+                        start += wall
+                    self.env._retime(timeout, start)
+                    raise
         finally:
             if sp >= 0:
                 self.tracer.end(sp)

@@ -98,7 +98,8 @@ def training_job_machine(ctx: ExecutionContext, payload: Dict[str, Any]) -> Mach
 
     ``payload`` carries the shard assignment: ``job_id``, ``tenant_id``,
     ``worker`` (shard index), ``steps``, ``step_cpu_s``, ``sync_every``.
-    Each step charges CPU time; every ``sync_every``-th step publishes an
+    One compute charge covers a sync interval, ending at the float time
+    per-step charges would; every ``sync_every``-th step publishes an
     update to the KV store (shared data-plane traffic, so concurrent
     jobs contend on the same simulated service).  The worker's invoke
     span is annotated with the job/tenant identity, which is what lets
@@ -113,10 +114,10 @@ def training_job_machine(ctx: ExecutionContext, payload: Dict[str, Any]) -> Mach
     ctx.annotate(job=job_id, tenant=tenant_id, worker=worker)
     services = ctx.services
     prefix = f"platform/{job_id}/w{worker}/"
-    for step in range(steps):
-        yield services.compute(step_cpu_s)
-        if sync_every and (step + 1) % sync_every == 0:
-            yield services.kv_set(f"{prefix}u{step + 1}", float(step + 1))
+    for done in range(0, steps, sync_every or steps):
+        yield services.compute(step_cpu_s, steps=min(sync_every or steps, steps - done))
+        if sync_every and done + sync_every <= steps:
+            yield services.kv_set(f"{prefix}u{done + sync_every}", float(done + sync_every))
     # Final model shard publish: the job's result artifact.
     yield services.kv_set(f"{prefix}final", float(steps))
     return {"job": job_id, "worker": worker, "steps": steps}

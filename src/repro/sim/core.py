@@ -416,6 +416,22 @@ class Environment:
         else:
             heapq.heappush(self._heap, (self._now + delay, seq, event))
 
+    def _timeout_at(self, at: float) -> Timeout:
+        """A :class:`Timeout` at absolute ``at >= now``, not re-rounded as ``now + (at - now)``."""
+        timeout = Timeout.__new__(Timeout)
+        timeout.env, timeout.callbacks, timeout._value = self, [], None
+        timeout._ok, timeout.defused, timeout.delay = True, False, at - self._now
+        heapq.heappush(self._heap, (at, self._seq, timeout))
+        self._seq += 1
+        return timeout
+
+    def _retime(self, timeout: Timeout, at: float) -> None:
+        """Move a still-queued :meth:`_timeout_at` timeout to the earlier time ``at``."""
+        if timeout.callbacks is not None:
+            i = next(i for i, entry in enumerate(self._heap) if entry[2] is timeout)
+            self._heap[i] = (at, self._heap[i][1], timeout)
+            heapq.heapify(self._heap)
+
     def _pop_next(self, stop_at: float = float("inf")) -> Optional[tuple]:
         """Remove and return the globally next ``(time, seq, event)``.
 
