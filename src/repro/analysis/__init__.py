@@ -19,10 +19,11 @@ Two complementary halves:
     training machines), ``SEED1xx`` (project-wide seed-stream
     discipline), ``LOCK1xx`` (thread-backend lock hygiene).  Pure
     ``ast`` + a small rule engine — no third-party lint framework.
-    Findings are suppressible per line (``# sim-lint: disable=ID``), per
-    module (the ``[tool.sim-lint]`` allowlist in ``pyproject.toml``) or
-    via a ``--baseline`` file for grandfathered findings; reports render
-    as text, JSON, GitHub annotations, or SARIF.
+    Which modules each rule polices is one policy, the defaults of
+    :class:`~repro.analysis.config.SimLintConfig`.  A finding is
+    forgiven in exactly two ways: ``# sim-lint: disable=ID`` on its line,
+    or the per-module ``ALLOW`` map in :mod:`~repro.analysis.config`.
+    Reports render as text, or as JSON with ``--json``.
 
 ``repro.analysis.determinism`` (runtime)
     An end-to-end oracle that runs a small training job twice, hashes
@@ -32,24 +33,17 @@ Two complementary halves:
     syntactic rule can see.
 """
 
-from .baseline import load_baseline, write_baseline
-from .config import SimLintConfig, load_config
+from .config import SimLintConfig
 from .engine import Finding, analyze_paths, iter_source_files
-from .formats import FORMATS, render
 from .project import ProjectContext
 from .rules import ALL_RULES, rule_by_id
 
 __all__ = [
     "ALL_RULES",
-    "FORMATS",
     "Finding",
     "ProjectContext",
     "SimLintConfig",
     "analyze_paths",
     "iter_source_files",
-    "load_baseline",
-    "load_config",
-    "render",
     "rule_by_id",
-    "write_baseline",
 ]

@@ -3,27 +3,23 @@
 Examples::
 
     repro lint                                      # scan src/repro, text output
-    repro lint --json                               # machine-readable report
-    repro lint --format github                      # PR-diff annotations
-    repro lint --format sarif --output sim-lint.sarif
-    repro lint --baseline analysis-baseline.json
+    repro lint --json --output sim-lint-report.json # machine-readable report
     repro lint --rules SIM001,EXEC102 src/repro/core
-    repro lint --write-baseline analysis-baseline.json
 
-Exit codes: 0 clean (no non-grandfathered findings), 1 findings, 2 bad
-invocation or unreadable configuration.
+The policy (which modules each rule polices) is
+:class:`~repro.analysis.config.SimLintConfig`'s defaults, so the result
+does not depend on where the scanned tree sits.  Exit codes: 0 clean,
+1 findings, 2 bad invocation.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..cli import EXIT_FAILED, EXIT_OK, fail, write_text
-from .baseline import load_baseline, split_by_baseline, write_baseline
-from .config import load_config
 from .engine import Finding, analyze_paths
-from .formats import FORMATS, render
 from .rules import ALL_RULES, iter_rule_docs, rule_by_id
 
 __all__ = ["add_parser"]
@@ -40,29 +36,12 @@ def add_parser(subparsers) -> None:
         help="files or directories to scan (default: src/repro)",
     )
     parser.add_argument(
-        "--format", choices=sorted(FORMATS), default=None, dest="fmt",
-        help="report format (default: text); github = Actions annotations, "
-        "sarif = SARIF 2.1.0 for code-scanning upload",
-    )
-    parser.add_argument(
         "--json", action="store_true", dest="as_json",
-        help="shorthand for --format json",
+        help="print the report as JSON instead of text",
     )
     parser.add_argument(
         "--output", metavar="FILE",
         help="write the report to FILE as well as stdout",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="JSON baseline of grandfathered findings that do not fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", dest="write_baseline_path",
-        help="write current findings to FILE as a new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--config", metavar="PYPROJECT",
-        help="pyproject.toml holding [tool.sim-lint] (default: discovered upward)",
     )
     parser.add_argument(
         "--rules", metavar="IDS",
@@ -73,6 +52,28 @@ def add_parser(subparsers) -> None:
         help="print every rule with its rationale and exit",
     )
     parser.set_defaults(handler=_cmd_lint)
+
+
+def _render_text(findings: Sequence[Finding]) -> str:
+    lines: List[str] = []
+    for finding in findings:
+        lines.append(f"{finding.location()}: {finding.rule} {finding.message}")
+        lines.append(f"    {finding.snippet}")
+    lines.append(f"sim-lint: {len(findings)} finding(s)")
+    return "\n".join(lines)
+
+
+def _render_json(findings: Sequence[Finding]) -> str:
+    by_rule: Dict[str, int] = {}
+    for finding in findings:
+        by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
+    payload = {
+        "version": 2,
+        "findings": [f.to_dict() for f in findings],
+        "counts": {"total": len(findings), "by_rule": by_rule},
+        "clean": not findings,
+    }
+    return json.dumps(payload, indent=2)
 
 
 def _cmd_lint(args: Any) -> int:
@@ -94,31 +95,8 @@ def _cmd_lint(args: Any) -> int:
     if missing:
         return fail(f"no such path: {', '.join(map(str, missing))}")
 
-    config_path = Path(args.config) if args.config else None
-    if config_path is not None and not config_path.is_file():
-        return fail(f"config file not found: {config_path}")
-    config = load_config(pyproject=config_path, start=scan_paths[0])
-
-    findings = analyze_paths(scan_paths, config=config, rules=rules)
-
-    if args.write_baseline_path:
-        count = write_baseline(findings, Path(args.write_baseline_path))
-        print(f"wrote {count} finding(s) to baseline {args.write_baseline_path}")
-        return EXIT_OK
-
-    grandfathered: List[Finding] = []
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.is_file():
-            return fail(f"baseline file not found: {baseline_path}")
-        try:
-            fingerprints = load_baseline(baseline_path)
-        except ValueError as exc:
-            return fail(str(exc))
-        findings, grandfathered = split_by_baseline(findings, fingerprints)
-
-    fmt = args.fmt or ("json" if args.as_json else "text")
-    report = render(fmt, findings, grandfathered)
+    findings = analyze_paths(scan_paths, rules=rules)
+    report = (_render_json if args.as_json else _render_text)(findings)
     print(report)
     if args.output:
         write_text(args.output, report + "\n")

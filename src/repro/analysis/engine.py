@@ -28,7 +28,6 @@ Since the project-analyzer upgrade the engine runs in **two phases**:
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,19 +80,6 @@ class Finding:
     message: str
     snippet: str
 
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity, for baseline files.
-
-        Hashing (rule, module, source text) instead of (rule, path, line)
-        keeps grandfathered findings pinned through unrelated edits that
-        shift line numbers.
-        """
-        digest = hashlib.sha256(
-            f"{self.rule}::{self.module}::{self.snippet}".encode("utf-8")
-        )
-        return digest.hexdigest()[:16]
-
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
@@ -106,7 +92,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -208,8 +193,8 @@ def parse_suppressions(
 def iter_source_files(paths: Iterable[Path]) -> Iterator[Path]:
     """All ``.py`` files under ``paths``, each exactly once, sorted.
 
-    Sorting makes the finding order (and therefore text/JSON output and
-    exit codes under ``--baseline``) independent of filesystem order.
+    Sorting makes the finding order (and therefore text/JSON output)
+    independent of filesystem order.
     """
     seen: Set[Path] = set()
     collected: List[Path] = []

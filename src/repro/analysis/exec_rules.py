@@ -24,8 +24,9 @@ have to catch.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
+from .config import EXEC_BANNED_IMPORTS, PACKAGE_NAME
 from .engine import FileContext, Finding, Rule
 from .project import MachineFunction, ProjectContext
 
@@ -50,7 +51,7 @@ class MachineImportRule(ProjectRule):
     A module is a *machine host* when it defines at least one backend-
     neutral machine (a generator annotated ``-> Machine`` or taking an
     ``ExecutionContext``), or is listed in
-    ``[tool.sim-lint.exec] machine-modules``.  Hosts may import
+    ``SimLintConfig.exec_machine_modules``.  Hosts may import
     ``exec.protocols`` (the contract) and pure-Python/numpy code, but
     never the sim kernel (``sim``), a concrete backend (``exec.sim``,
     ``exec.local``), or host concurrency/clock/IO modules
@@ -63,12 +64,10 @@ class MachineImportRule(ProjectRule):
     title = "backend-coupled import in a machine-hosting module"
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        banned = project.config.exec_banned_imports
         for module in project.machine_modules():
             info = project.modules[module]
             for imported in info.module_imports:
-                name = project.config.normalize_import(imported.name)
-                hit = _banned_prefix(name, banned)
+                hit = _banned_prefix(imported.name)
                 if hit is not None:
                     yield info.ctx.finding(
                         self.id,
@@ -80,8 +79,13 @@ class MachineImportRule(ProjectRule):
                     )
 
 
-def _banned_prefix(name: str, banned: Tuple[str, ...]) -> Optional[str]:
-    for ban in banned:
+def _banned_prefix(name: str) -> Optional[str]:
+    # ``repro.exec.sim`` and the relative ``..exec.sim`` ban identically;
+    # external imports (``numpy``, ``threading``) pass through unchanged
+    prefix = PACKAGE_NAME + "."
+    if name.startswith(prefix):
+        name = name[len(prefix):]
+    for ban in EXEC_BANNED_IMPORTS:
         if name == ban or name.startswith(ban + "."):
             return ban
     return None

@@ -1,7 +1,8 @@
-"""LOCK1xx: concurrency discipline for the thread-backed local backend.
+"""LOCK1xx: concurrency discipline for the host-concurrency backends.
 
-``exec/local.py`` is the one place real ``threading`` primitives are
-allowed, which makes it the one place the classic thread bugs can live.
+``exec/local.py``, ``exec/procs.py`` and ``exec/deadline.py`` are where
+real ``threading``/``multiprocessing`` primitives are allowed, which
+makes them where the classic thread bugs can live.
 These rules encode the file's own documented discipline:
 
 ``LOCK101``
@@ -14,9 +15,8 @@ These rules encode the file's own documented discipline:
     (an acquisition-order cycle), the precondition for an ABBA deadlock;
 
 ``LOCK103``
-    a blocking call has no ``timeout=`` bound and sits outside the
-    sanctioned helpers — a stuck peer then hangs the backend forever
-    instead of surfacing as a timeout.
+    a blocking call has no ``timeout=`` bound — a stuck peer then hangs
+    the backend forever instead of surfacing as a timeout.
 
 Everything here is a heuristic over one module's AST — lock identity is
 ``Class.attr``/name matching ``lock|mutex|sem|cond``, call resolution
@@ -365,9 +365,8 @@ class UnboundedBlockingRule(LockRule):
     The local backend's liveness story is "a stuck peer becomes a
     timeout, the supervisor decides" — an unbounded ``q.get()`` /
     ``t.join()`` / ``ev.wait()`` opts out of that story and turns the
-    first lost message into a hung process.  Helpers that are *supposed*
-    to park forever go in ``[tool.sim-lint.lock] sanctioned-blocking``
-    by qualified name.  Calls that are deadline-bounded internally
+    first lost message into a hung process.  A call that is *supposed*
+    to park forever carries ``# sim-lint: disable=LOCK103`` on its line.  Calls that are deadline-bounded internally
     (``consume``/``consume_with_timeout``) are exempt by construction.
     """
 
@@ -376,10 +375,7 @@ class UnboundedBlockingRule(LockRule):
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for info, facts in self._lock_module_facts(project):
-            sanctioned = set(project.config.lock_sanctioned)
             for qualname in sorted(facts):
-                if qualname in sanctioned or qualname.split(".")[-1] in sanctioned:
-                    continue
                 for event in facts[qualname].blocks:
                     if event.bounded:
                         continue
@@ -388,8 +384,8 @@ class UnboundedBlockingRule(LockRule):
                         event.node,
                         f"`{qualname}` makes an unbounded `{event.label}(...)` "
                         "call; pass timeout= so a stuck peer surfaces as a "
-                        "timeout (or sanction this helper in "
-                        "[tool.sim-lint.lock])",
+                        "timeout (or mark a call that must park forever "
+                        "with `# sim-lint: disable=LOCK103`)",
                     )
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set
 
 from .astutils import build_import_map, is_generator_function, terminal_name
-from .config import SimLintConfig
+from .config import PROTOCOLS_MODULE, SERVICES_CLASS, SimLintConfig
 from .engine import FileContext, Finding, parse_file, module_path, parse_suppressions
 
 __all__ = [
@@ -107,8 +107,6 @@ class ProjectContext:
         project = cls(config)
         for path in files:
             module = module_path(path)
-            if config.is_excluded(module):
-                continue
             ctx, error = parse_file(path, module, config)
             if error is not None:
                 project.parse_errors.append(error)
@@ -135,10 +133,10 @@ class ProjectContext:
         this scan — the protocol-dependent rules then skip rather than
         guess.  Dunder and private methods are not part of the contract.
         """
-        info = self.modules.get(self.config.exec_protocols_module)
+        info = self.modules.get(PROTOCOLS_MODULE)
         if info is None:
             return None
-        cls = info.classes.get(self.config.exec_services_class)
+        cls = info.classes.get(SERVICES_CLASS)
         if cls is None:
             return None
         return {

@@ -140,7 +140,7 @@ class GlobalRngRule(Rule):
                     node,
                     "`np.random.default_rng(...)` outside an allowlisted RNG "
                     "factory; route seeds through `RandomStreams` or add this "
-                    "module to `[tool.sim-lint.allow]`",
+                    "module to sim-lint's `ALLOW` map",
                 )
             elif name.startswith("numpy.random.") and name not in _NP_RANDOM_OK:
                 yield ctx.finding(

@@ -147,8 +147,8 @@ class RngConstructionRule(ProjectRule):
     ``RandomState(...)``) that mint an RNG without ever saying
     ``default_rng``.  Both are tracked through the import map plus a
     module-level assignment dataflow pass, and both are fine inside the
-    ``[tool.sim-lint.seed] rng-factories`` modules — everywhere else an
-    RNG must come from a named stream.
+    modules ``allow`` grants SIM002 (the seeded RNG factories) —
+    everywhere else an RNG must come from a named stream.
     """
 
     id = "SEED103"
@@ -156,7 +156,7 @@ class RngConstructionRule(ProjectRule):
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for module in project.module_names():
-            if project.config.is_rng_factory(module):
+            if "SIM002" in project.config.allowed_rules(module):
                 continue
             info = project.modules[module]
             aliases = _rng_aliases(info.ctx.tree, info.imports)

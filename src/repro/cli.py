@@ -6,7 +6,7 @@
     repro run --list
     repro scenario list | validate <name-or-file> | run <name-or-file>
     repro trace summary | cost | chrome <RUN.trace.json.jsonl>
-    repro lint [paths] [--baseline analysis-baseline.json]
+    repro lint [paths] [--json] [--output FILE] [--rules IDS]
     repro determinism [--trace-invariance]
 
 This module builds the only parser and owns what every subcommand

@@ -11,7 +11,7 @@ blocked across any number of calls never exceeds the budget.
 
 Wall-clock reads are legal here for the same reason they are legal in
 ``exec/local.py``: this module is part of the host-concurrency layer
-and is deliberately left out of sim-lint's ``simulated-layers``.
+and is deliberately left out of sim-lint's ``SIMULATED_LAYERS``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ threads and a control server in place of the locked dict; and
 
 Wall-clock reads (``time.monotonic``, ``time.sleep``) are *legal in this
 module only* — it is deliberately left out of sim-lint's
-``simulated-layers`` (see ``pyproject.toml``), while everything under
+``SIMULATED_LAYERS`` (see :mod:`repro.analysis.config`), while everything under
 ``repro/exec/sim.py`` and the core machines remain lint-enforced pure.
 
 What the wall-clock backends support and refuse is declared in

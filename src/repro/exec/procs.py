@@ -35,7 +35,7 @@ Substrate, piece by piece:
   after its mid-job switch) gets no arena and pickles its updates.
 
 Host-side by design, like the local backend: outside sim-lint's
-``simulated-layers``, under the LOCK1xx lock-hygiene rules.  What it
+``SIMULATED_LAYERS``, under the LOCK1xx lock-hygiene rules.  What it
 supports and refuses is declared in :mod:`repro.core.capabilities`.
 Relaunch/resume works unchanged, and because checkpoints travel through
 the parent-held KV server they survive even the *death* of a role

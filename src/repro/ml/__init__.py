@@ -2,7 +2,7 @@
 
 from . import data, models, optim
 from .loss import bce_loss, mse_loss, rmse, sigmoid
-from .metrics import accuracy, auc
+from .metrics import accuracy
 from .parameters import ModelUpdate, ParameterSet
 from .sparse import CSRMatrix, SparseDelta
 
@@ -15,7 +15,6 @@ __all__ = [
     "bce_loss",
     "mse_loss",
     "rmse",
-    "auc",
     "accuracy",
     "data",
     "models",

@@ -1,7 +1,6 @@
-"""Datasets: containers, synthetic generators, normalization, hashing."""
+"""Datasets: containers, synthetic generators, normalization."""
 
 from .dataset import Dataset, DenseBatch, LRBatch, PMFBatch
-from .hashing import hash_categoricals, hash_feature
 from .normalize import (
     FeatureStats,
     combine_stats,
@@ -34,6 +33,4 @@ __all__ = [
     "minmax_apply",
     "combine_stats",
     "normalize_dataset",
-    "hash_feature",
-    "hash_categoricals",
 ]

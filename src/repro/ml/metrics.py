@@ -1,44 +1,10 @@
-"""Evaluation metrics beyond training losses.
-
-``auc`` — area under the ROC curve for binary classifiers (the standard
-reporting metric for Criteo CTR models), computed exactly via the
-rank-statistic formulation with proper tie handling.
-"""
+"""Evaluation metrics beyond training losses."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["auc", "accuracy"]
-
-
-def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Exact ROC AUC via the Mann-Whitney U statistic (ties averaged)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise ValueError("scores and labels must be 1-D and equal length")
-    pos = labels > 0.5
-    n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs both positive and negative labels")
-    # Average ranks with tie correction.
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    ranks[order] = np.arange(1, len(scores) + 1)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
-    rank_sum_pos = float(ranks[pos].sum())
-    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+__all__ = ["accuracy"]
 
 
 def accuracy(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:

@@ -1,8 +1,7 @@
-"""Trainable models: logistic regression, linear regression, PMF, MLP."""
+"""Trainable models: logistic regression and PMF (the paper's two
+workloads), and the layered MLP the pipeline stages run."""
 
 from .base import Model
-from .biased_pmf import BiasedPMF
-from .linear_regression import LinearRegression
 from .logistic_regression import LogisticRegression
 from .mlp import LayeredMLP
 from .pmf import PMF
@@ -10,8 +9,6 @@ from .pmf import PMF
 __all__ = [
     "Model",
     "LogisticRegression",
-    "LinearRegression",
     "PMF",
-    "BiasedPMF",
     "LayeredMLP",
 ]

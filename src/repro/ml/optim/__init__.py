@@ -1,9 +1,8 @@
-"""Optimizers (SGD, momentum/Nesterov, Adam, AdaGrad) and LR schedules."""
+"""Optimizers (SGD, momentum/Nesterov, Adam) and LR schedules."""
 
-from .adam import Adam, AdaGrad
-from .rmsprop import RMSProp
+from .adam import Adam
 from .base import Optimizer
-from .schedules import ConstantLR, InverseSqrtLR, LRSchedule, StepDecayLR
+from .schedules import ConstantLR, InverseSqrtLR, LRSchedule
 from .sgd import SGD, MomentumSGD
 
 __all__ = [
@@ -11,10 +10,7 @@ __all__ = [
     "SGD",
     "MomentumSGD",
     "Adam",
-    "AdaGrad",
-    "RMSProp",
     "LRSchedule",
     "ConstantLR",
     "InverseSqrtLR",
-    "StepDecayLR",
 ]

@@ -1,9 +1,9 @@
-"""Adam and AdaGrad, sparse-aware.
+"""Adam, sparse-aware.
 
-The paper's LR/Criteo job trains with Adam (Table 1).  Both optimizers
-keep dense moment buffers but only update the entries touched by the
-sparse gradient ("lazy" updates), with Adam's bias correction driven by
-the global step — the standard serverless/embedding-table approximation.
+The paper's LR/Criteo job trains with Adam (Table 1).  The optimizer
+keeps dense moment buffers but only updates the entries touched by the
+sparse gradient ("lazy" updates), with bias correction driven by the
+global step — the standard serverless/embedding-table approximation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from ..sparse import SparseDelta
 from .base import Optimizer
 
-__all__ = ["Adam", "AdaGrad"]
+__all__ = ["Adam"]
 
 
 class Adam(Optimizer):
@@ -48,19 +48,3 @@ class Adam(Optimizer):
         step = m_hat / (np.sqrt(v_hat) + self.eps)
         return grad._with_values(-lr * step)
 
-
-class AdaGrad(Optimizer):
-    """Lazy sparse AdaGrad (per-entry accumulated squared gradients)."""
-
-    def __init__(self, lr, eps: float = 1e-10):
-        super().__init__(lr)
-        if eps <= 0:
-            raise ValueError(f"eps must be > 0, got {eps}")
-        self.eps = eps
-
-    def _transform(self, name, tensor, grad: SparseDelta, lr, t) -> SparseDelta:
-        acc = np.ravel(self._buffer("sq", name, tensor.shape))
-        idx, g = grad.indices, grad.values
-        acc[idx] += g * g
-        step = g / (np.sqrt(acc[idx]) + self.eps)
-        return grad._with_values(-lr * step)

@@ -10,7 +10,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-__all__ = ["LRSchedule", "ConstantLR", "InverseSqrtLR", "StepDecayLR"]
+__all__ = ["LRSchedule", "ConstantLR", "InverseSqrtLR"]
 
 
 class LRSchedule(ABC):
@@ -44,15 +44,3 @@ class InverseSqrtLR(LRSchedule):
         self._check(t)
         return self.eta / math.sqrt(t)
 
-
-@dataclass(frozen=True)
-class StepDecayLR(LRSchedule):
-    """Multiply by ``gamma`` every ``period`` steps."""
-
-    eta: float
-    gamma: float = 0.5
-    period: int = 100
-
-    def rate(self, t: int) -> float:
-        self._check(t)
-        return self.eta * self.gamma ** ((t - 1) // self.period)

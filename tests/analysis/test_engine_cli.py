@@ -1,19 +1,8 @@
-"""Engine plumbing: config parsing, fingerprints, baseline files, CLI."""
+"""Engine plumbing: module paths, suppressions, CLI."""
 
 import json
 import textwrap
-import tomllib
 
-import pytest
-
-from repro.analysis import (
-    Finding,
-    SimLintConfig,
-    load_baseline,
-    load_config,
-    write_baseline,
-)
-from repro.analysis.config import config_from_table
 from repro.analysis.engine import module_path, parse_suppressions
 from repro.cli import main as repro_main
 
@@ -37,60 +26,6 @@ def write_package(tmp_path, source=BAD_SIM_MODULE, layer="sim"):
     (package / layer / "__init__.py").write_text("")
     (package / layer / "mod.py").write_text(textwrap.dedent(source))
     return package
-
-
-# -- config ------------------------------------------------------------------
-
-
-def test_sim_lint_table_shape_builds_config():
-    text = textwrap.dedent(
-        """
-        [project]
-        name = "x"  # trailing comment
-
-        [tool.sim-lint]
-        simulated-layers = ["sim", "faas"]
-        exclude = []
-        billing-modules = [
-            "faas/billing.py",  # multi-line array
-            "experiments/report.py",
-        ]
-
-        [tool.sim-lint.allow]
-        "sim/rand.py" = ["SIM002", "SIM005"]
-        """
-    )
-    table = tomllib.loads(text)["tool"]["sim-lint"]
-    assert table["simulated-layers"] == ["sim", "faas"]
-    assert table["exclude"] == []
-    assert table["billing-modules"] == ["faas/billing.py", "experiments/report.py"]
-    assert table["allow"] == {"sim/rand.py": ["SIM002", "SIM005"]}
-    config = config_from_table(table)
-    assert config.in_simulated_layer("faas/platform.py")
-    assert not config.in_simulated_layer("storage/base.py")
-    assert config.allowed_rules("sim/rand.py") == ("SIM002", "SIM005")
-
-
-def test_load_config_discovers_pyproject_upward(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.sim-lint]\nsimulated-layers = ["only"]\n'
-    )
-    nested = tmp_path / "a" / "b"
-    nested.mkdir(parents=True)
-    config = load_config(start=nested)
-    assert config.simulated_layers == ("only",)
-
-
-def test_load_config_defaults_without_table(tmp_path):
-    (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
-    config = load_config(start=tmp_path)
-    assert config == SimLintConfig()
-
-
-def test_exclude_fragments_skip_modules():
-    config = SimLintConfig(exclude=("vendored",))
-    assert config.is_excluded("sim/vendored/thing.py")
-    assert not config.is_excluded("sim/core.py")
 
 
 # -- engine helpers ----------------------------------------------------------
@@ -189,15 +124,7 @@ def test_multiline_suppression_end_to_end(lint_snippet):
     assert [f.rule for f in findings] == ["SIM001"]
 
 
-def test_fingerprint_ignores_line_numbers():
-    a = Finding("SIM001", "p.py", "sim/p.py", 10, 5, "m", "return time.time()")
-    b = Finding("SIM001", "p.py", "sim/p.py", 99, 1, "m", "return time.time()")
-    c = Finding("SIM002", "p.py", "sim/p.py", 10, 5, "m", "return time.time()")
-    assert a.fingerprint == b.fingerprint
-    assert a.fingerprint != c.fingerprint
-
-
-# -- CLI + baseline ----------------------------------------------------------
+# -- CLI ---------------------------------------------------------------------
 
 
 def test_cli_exits_nonzero_with_precise_location(tmp_path, capsys):
@@ -224,6 +151,16 @@ def test_cli_json_report_and_output_file(tmp_path, capsys):
     assert json.loads(report_path.read_text()) == payload
 
 
+def test_cli_json_report_drops_baseline_fields(tmp_path, capsys):
+    package = write_package(tmp_path)
+    assert cli_main([str(package), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["version"] == 2
+    assert set(payload) == {"version", "findings", "counts", "clean"}
+    assert "fingerprint" not in payload["findings"][0]
+    assert payload["counts"]["by_rule"] == {"SIM001": 1}
+
+
 def test_cli_rules_filter(tmp_path, capsys):
     package = write_package(tmp_path)
     assert cli_main([str(package), "--rules", "SIM002"]) == 0
@@ -243,43 +180,3 @@ def test_cli_list_rules(capsys):
 
 def test_cli_missing_path_exits_2(tmp_path, capsys):
     assert cli_main([str(tmp_path / "nope")]) == 2
-
-
-def test_baseline_grandfathers_existing_findings(tmp_path, capsys):
-    package = write_package(tmp_path)
-    baseline = tmp_path / "baseline.json"
-
-    assert cli_main([str(package), "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    entries = json.loads(baseline.read_text())
-    assert len(entries) == 1 and entries[0]["rule"] == "SIM001"
-
-    # grandfathered finding no longer fails the run...
-    assert cli_main([str(package), "--baseline", str(baseline)]) == 0
-    assert "1 grandfathered" in capsys.readouterr().out
-
-    # ...but a fresh violation still does
-    module = package / "sim" / "mod.py"
-    module.write_text(module.read_text() + "\n\ndef m():\n    return time.monotonic()\n")
-    assert cli_main([str(package), "--baseline", str(baseline)]) == 1
-    out = capsys.readouterr().out
-    assert "time.monotonic" in out and "1 grandfathered" in out
-
-
-def test_load_baseline_accepts_bare_fingerprints(tmp_path):
-    path = tmp_path / "b.json"
-    path.write_text('["abc123", {"fingerprint": "def456"}]')
-    assert load_baseline(path) == {"abc123", "def456"}
-    path.write_text('{"not": "a list"}')
-    with pytest.raises(ValueError):
-        load_baseline(path)
-
-
-def test_write_baseline_round_trip(tmp_path):
-    findings = [
-        Finding("SIM001", "p.py", "sim/p.py", 1, 1, "m", "time.time()"),
-        Finding("SIM003", "q.py", "sim/q.py", 2, 1, "m", "for x in {1}:"),
-    ]
-    path = tmp_path / "b.json"
-    assert write_baseline(findings, path) == 2
-    assert load_baseline(path) == {f.fingerprint for f in findings}

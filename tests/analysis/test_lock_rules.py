@@ -231,23 +231,6 @@ def test_lock103_explicit_none_timeout_is_still_unbounded(lint_project):
     assert [f.rule for f in findings] == ["LOCK103"]
 
 
-def test_lock103_sanctioned_helper_may_block_forever(lint_project):
-    config = SimLintConfig(
-        lock_modules=("exec/local.py",),
-        lock_sanctioned=("LocalServices.park",),
-    )
-    findings = lint_local(
-        lint_project,
-        """
-        class LocalServices:
-            def park(self, event):
-                event.wait()
-        """,
-        config=config,
-    )
-    assert findings == []
-
-
 def test_lock103_consume_calls_are_internally_bounded(lint_project):
     # mq consume goes through the deadline-bounded service helper: never
     # LOCK103 — but still blocking, so LOCK101 fires under a lock

@@ -1,32 +1,45 @@
-"""The gate: the real source tree must be sim-lint clean, with an empty
-baseline, and stay that way."""
+"""The gate: the real source tree must be sim-lint clean under the
+policy in code, wherever the tree sits, and stay that way."""
 
 import ast
-import json
 import shutil
+import tomllib
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_paths, load_config
+from repro.analysis import SimLintConfig, analyze_paths
+from repro.cli import main as repro_main
+
+
+def _details(findings):
+    return "\n".join(f"{f.location()}: {f.rule} {f.message}" for f in findings)
 
 
 def test_src_repro_is_clean(repo_paths):
-    root, src_repro = repo_paths
-    config = load_config(pyproject=root / "pyproject.toml")
-    findings = analyze_paths([src_repro], config=config)
-    details = "\n".join(f"{f.location()}: {f.rule} {f.message}" for f in findings)
-    assert findings == [], f"sim-lint findings in src/repro:\n{details}"
+    _, src_repro = repo_paths
+    findings = analyze_paths([src_repro], config=SimLintConfig())
+    assert findings == [], f"sim-lint findings in src/repro:\n{_details(findings)}"
 
 
-def test_committed_baseline_is_empty(repo_paths):
+def test_a_copy_outside_the_checkout_is_clean(repo_paths, tmp_path, capsys):
+    """The policy is the code's defaults, so a copy of the tree with no
+    ``pyproject.toml`` above it lints exactly like the checkout."""
+    _, src_repro = repo_paths
+    copy = tmp_path / "repro"
+    shutil.copytree(src_repro, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    findings = analyze_paths([copy], config=SimLintConfig())
+    assert findings == [], f"sim-lint findings in the copy:\n{_details(findings)}"
+    assert repro_main(["lint", str(copy)]) == 0
+    assert "sim-lint: 0 finding(s)" in capsys.readouterr().out
+
+
+def test_pyproject_has_no_sim_lint_table(repo_paths):
+    """``repro lint`` reads no configuration file: a ``[tool.sim-lint]``
+    table would be silently ignored, so the policy must not drift there."""
     root, _ = repo_paths
-    baseline = root / "analysis-baseline.json"
-    assert baseline.is_file(), "analysis-baseline.json must exist for CI"
-    assert json.loads(baseline.read_text()) == [], (
-        "the committed baseline must stay empty: fix or explicitly suppress "
-        "findings instead of grandfathering them"
-    )
+    data = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "sim-lint" not in data.get("tool", {})
 
 
 def test_an_injected_violation_is_caught(repo_paths, tmp_path):
@@ -36,7 +49,7 @@ def test_an_injected_violation_is_caught(repo_paths, tmp_path):
     ``time.time()`` call, and asserts the analyzer reports it with a
     precise location — the acceptance criterion for the static half.
     """
-    root, src_repro = repo_paths
+    _, src_repro = repo_paths
     package = tmp_path / "pkg"
     (package / "sim").mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -48,8 +61,7 @@ def test_an_injected_violation_is_caught(repo_paths, tmp_path):
         1,
     )
     (package / "sim" / "core.py").write_text(source)
-    config = load_config(pyproject=root / "pyproject.toml")
-    findings = analyze_paths([package], config=config)
+    findings = analyze_paths([package], config=SimLintConfig())
     assert [f.rule for f in findings] == ["SIM001"]
     assert findings[0].module == "sim/core.py"
     assert findings[0].line > 0 and "time.time" in findings[0].message
@@ -86,7 +98,7 @@ def test_deleting_any_services_method_fails_conformance(repo_paths, tmp_path, me
     drift between backends — only between the class and the machines.
     Remove any one verb from it and every machine that yields that verb
     must fail EXEC102, which reads its verb table from the class."""
-    root, src_repro = repo_paths
+    _, src_repro = repo_paths
     package = _copy_subtree(src_repro, tmp_path / "pkg", ["exec", "core", "platform"])
     protocols = package / "exec" / "protocols.py"
     source = protocols.read_text()
@@ -104,8 +116,7 @@ def test_deleting_any_services_method_fails_conformance(repo_paths, tmp_path, me
     del lines[target.lineno - 1 : target.end_lineno]
     protocols.write_text("".join(lines))
 
-    config = load_config(pyproject=root / "pyproject.toml")
-    findings = analyze_paths([package], config=config)
+    findings = analyze_paths([package], config=SimLintConfig())
     assert findings, f"deleting Services.{method} went unnoticed"
     assert {f.rule for f in findings} == {"EXEC102"}
     assert all(f".{method}(" in f.snippet for f in findings)
@@ -113,7 +124,7 @@ def test_deleting_any_services_method_fails_conformance(repo_paths, tmp_path, me
 
 def test_injected_cross_module_violations_are_caught(repo_paths, tmp_path):
     """End-to-end on the real tree: one injected violation per new family."""
-    root, src_repro = repo_paths
+    _, src_repro = repo_paths
     package = _copy_subtree(src_repro, tmp_path / "pkg", ["exec", "core", "sim", "trace", "storage"])
 
     # EXEC101/EXEC102: couple a machine module to threading, add a bare yield
@@ -134,6 +145,5 @@ def test_injected_cross_module_violations_are_caught(repo_paths, tmp_path):
         + "\n\ndef _stall(q, state_lock):\n    with state_lock:\n        return q.get()\n"
     )
 
-    config = load_config(pyproject=root / "pyproject.toml")
-    rules = {f.rule for f in analyze_paths([package], config=config)}
+    rules = {f.rule for f in analyze_paths([package], config=SimLintConfig())}
     assert {"EXEC101", "EXEC102", "LOCK101", "LOCK103"} <= rules

@@ -170,7 +170,7 @@ def test_seed103_direct_call_still_caught_by_sim002_in_full_run(lint_project):
 
 
 def test_seed103_allows_construction_in_factory_modules(lint_project):
-    config = SimLintConfig(seed_rng_factories=("sim/rand.py",))
+    config = SimLintConfig(allow={"sim/rand.py": ("SIM002",)})
     findings = lint_project(
         {
             "sim/rand.py": """

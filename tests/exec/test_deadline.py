@@ -81,11 +81,10 @@ def test_exec_backends_stay_lock_clean():
     in the host-concurrency modules must be bounded.  Runs the real
     analyzer over the real tree — an unbounded ``get()``/``join()``
     reintroduced in exec/local.py or exec/procs.py fails here."""
-    from repro.analysis import analyze_paths, load_config
+    from repro.analysis import SimLintConfig, analyze_paths
 
     root = Path(__file__).resolve().parents[2]
-    config = load_config(pyproject=root / "pyproject.toml")
-    findings = analyze_paths([root / "src" / "repro"], config=config)
+    findings = analyze_paths([root / "src" / "repro"], config=SimLintConfig())
     lock = [f for f in findings if f.rule.startswith("LOCK")]
     details = "\n".join(f"{f.location()}: {f.rule} {f.message}" for f in lock)
     assert lock == [], f"LOCK findings in exec backends:\n{details}"

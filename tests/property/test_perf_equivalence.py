@@ -24,7 +24,7 @@ from repro.ml import ModelUpdate, ParameterSet
 from repro.ml.data import CriteoSpec, Dataset, LRBatch, criteo_like
 from repro.ml.data.synthetic import _planted_logits
 from repro.ml.models import PMF
-from repro.ml.optim import SGD, AdaGrad, Adam, MomentumSGD, RMSProp
+from repro.ml.optim import SGD, Adam, MomentumSGD
 from repro.ml.sparse import CSRMatrix, SparseDelta, flat_nonzero
 
 N_COLS = 16
@@ -426,10 +426,8 @@ def test_scatter_rows_rejects_out_of_range_rows():
         lambda: SGD(0.1),
         lambda: MomentumSGD(0.1, momentum=0.9, nesterov=True),
         lambda: Adam(0.1),
-        lambda: AdaGrad(0.1),
-        lambda: RMSProp(0.1, momentum=0.5),
     ],
-    ids=["sgd", "momentum", "adam", "adagrad", "rmsprop"],
+    ids=["sgd", "momentum", "adam"],
 )
 @given(grad=sparse_deltas(unique=False))
 @settings(max_examples=20, deadline=None)

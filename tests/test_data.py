@@ -1,4 +1,4 @@
-"""Unit tests for datasets: generators, containers, normalization, hashing."""
+"""Unit tests for datasets: generators, containers, normalization."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from repro.ml.data import (
     PMFBatch,
     combine_stats,
     criteo_like,
-    hash_categoricals,
-    hash_feature,
     minmax_apply,
     minmax_stats,
     movielens_like,
@@ -237,36 +235,3 @@ def test_normalize_dataset_end_to_end():
         dense_block_mask = batch.X.indices < SMALL_CRITEO.n_numeric
         vals = batch.X.data[dense_block_mask]
         assert vals.min() >= -1e-9 and vals.max() <= 1 + 1e-9
-
-
-# ------------------------------------------------------------------ hashing
-def test_hash_feature_deterministic_and_in_range():
-    col1, sign1 = hash_feature(3, "value-x", 1000)
-    col2, sign2 = hash_feature(3, "value-x", 1000)
-    assert (col1, sign1) == (col2, sign2)
-    assert 0 <= col1 < 1000
-    assert sign1 in (-1.0, 1.0)
-
-
-def test_hash_feature_field_sensitivity():
-    assert hash_feature(0, "x", 10_000) != hash_feature(1, "x", 10_000)
-
-
-def test_hash_categoricals_builds_sparse_rows():
-    rows = hash_categoricals([["a", "b"], ["a", "a"]], n_buckets=1000)
-    assert len(rows) == 2
-    idx, val = rows[0]
-    assert len(idx) == len(val) <= 2
-    assert np.all(np.diff(idx) > 0)  # sorted unique
-
-
-def test_hash_categoricals_signed_collisions_cancel():
-    # Same (field, value) twice in a row sums its signs: |value| == 2.
-    rows = hash_categoricals([["z"]], n_buckets=10)
-    idx, val = rows[0]
-    assert abs(val[0]) == 1.0
-
-
-def test_hash_feature_validates():
-    with pytest.raises(ValueError):
-        hash_feature(0, "x", 0)

@@ -1,195 +1,8 @@
-"""Tests for the extension modules: RMSProp, BiasedPMF, AUC/accuracy."""
+"""Tests for the binary-classification metric: accuracy."""
 
 import numpy as np
-import pytest
 
-from repro.ml import ModelUpdate, ParameterSet, accuracy, auc
-from repro.ml.data import MovieLensSpec, movielens_like
-from repro.ml.data.dataset import PMFBatch
-from repro.ml.models import PMF, BiasedPMF
-from repro.ml.optim import RMSProp, SGD
-from repro.ml.sparse import SparseDelta
-
-
-def dense_grad(values):
-    return ModelUpdate({"w": SparseDelta.from_dense(np.asarray(values, float))})
-
-
-# ----------------------------------------------------------------- RMSProp
-def test_rmsprop_matches_reference():
-    opt = RMSProp(lr=0.01, alpha=0.9, eps=1e-8)
-    p = ParameterSet({"w": np.zeros(1)})
-    sq = 0.0
-    for t in range(1, 6):
-        g = float(t)
-        sq = 0.9 * sq + 0.1 * g * g
-        expected = -0.01 * g / (np.sqrt(sq) + 1e-8)
-        update = opt.step(p, dense_grad([g]), t=t)
-        assert update["w"].values[0] == pytest.approx(expected)
-
-
-def test_rmsprop_with_momentum():
-    opt = RMSProp(lr=0.01, alpha=0.9, momentum=0.5)
-    p = ParameterSet({"w": np.zeros(1)})
-    sq = buf = 0.0
-    for t in range(1, 4):
-        g = 1.0
-        sq = 0.9 * sq + 0.1
-        step = g / (np.sqrt(sq) + 1e-8)
-        buf = 0.5 * buf + step
-        update = opt.step(p, dense_grad([g]), t=t)
-        assert update["w"].values[0] == pytest.approx(-0.01 * buf)
-
-
-def test_rmsprop_validates():
-    with pytest.raises(ValueError):
-        RMSProp(lr=0.1, alpha=1.0)
-    with pytest.raises(ValueError):
-        RMSProp(lr=0.1, eps=0)
-    with pytest.raises(ValueError):
-        RMSProp(lr=0.1, momentum=1.0)
-
-
-# --------------------------------------------------------------- BiasedPMF
-def small_batch(seed=0, n=20, users=6, movies=5):
-    rng = np.random.default_rng(seed)
-    return PMFBatch(
-        rng.integers(0, users, n).astype(np.int32),
-        rng.integers(0, movies, n).astype(np.int32),
-        rng.uniform(1, 5, n),
-    )
-
-
-def test_biased_pmf_gradient_matches_numerical():
-    model = BiasedPMF(6, 5, rank=3, l2=0.05, init_scale=0.3)
-    batch = small_batch()
-    params = model.init_params(np.random.default_rng(1))
-    params["bu"][:] = np.random.default_rng(2).normal(0, 0.2, 6)
-    params["bm"][:] = np.random.default_rng(3).normal(0, 0.2, 5)
-
-    def objective():
-        err = model.predict(params, batch) - batch.ratings
-        reg = 0.0
-        for rows, tensor in (
-            (batch.users, params["U"]),
-            (batch.movies, params["M"]),
-        ):
-            reg += np.sum(tensor[rows] ** 2)
-        for rows, tensor in (
-            (batch.users, params["bu"]),
-            (batch.movies, params["bm"]),
-        ):
-            reg += np.sum(tensor[rows] ** 2)
-        return float(np.mean(err**2) + 0.5 * model.l2 * reg / batch.n)
-
-    _, grad = model.gradient(params, batch)
-
-    def numerical(tensor):
-        out = np.zeros_like(tensor)
-        flat, gflat = tensor.ravel(), out.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + 1e-6
-            hi = objective()
-            flat[i] = orig - 1e-6
-            lo = objective()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / 2e-6
-        return out
-
-    for name in ("U", "M", "bu", "bm"):
-        np.testing.assert_allclose(
-            grad[name].to_dense(), numerical(params[name]), atol=1e-5,
-            err_msg=name,
-        )
-
-
-def test_biased_pmf_fits_biased_data_better_than_plain():
-    # The synthetic generator plants user/movie biases; the biased model
-    # must reach a lower RMSE than plain PMF with the same training.
-    spec = MovieLensSpec(n_users=80, n_movies=60, n_ratings=6_000, batch_size=500)
-    ds = movielens_like(spec, seed=7)
-
-    def train(model):
-        params = model.init_params(np.random.default_rng(0))
-        opt = SGD(lr=1.0)
-        for t in range(1, 160):
-            batch = ds[(t - 1) % len(ds)]
-            loss, grad = model.gradient(params, batch)
-            params.apply(opt.step(params, grad, t))
-        return np.mean(
-            [model.loss(params, b) for b in ds.batches[:4]]
-        )
-
-    plain = train(PMF(80, 60, rank=4, l2=0.02, rating_offset=3.5))
-    biased = train(BiasedPMF(80, 60, rank=4, l2=0.02, rating_offset=3.5))
-    assert biased < plain
-
-
-def test_biased_pmf_cost_model():
-    model = BiasedPMF(100, 50, rank=8)
-    batch = small_batch()
-    assert model.dense_gradient_bytes() == 150 * 9 * 8
-    assert model.sparse_entries(batch) == 2 * batch.n * 9
-    assert model.sparse_step_flops(batch) < model.dense_step_flops(batch)
-
-
-def test_biased_pmf_in_mlless_run():
-    from repro import JobConfig, run_mlless
-
-    spec = MovieLensSpec(n_users=60, n_movies=40, n_ratings=2_000, batch_size=250)
-    ds = movielens_like(spec, seed=1)
-    config = JobConfig(
-        model=BiasedPMF(60, 40, rank=3, rating_offset=3.5),
-        make_optimizer=lambda: SGD(lr=1.0),
-        dataset=ds,
-        n_workers=4,
-        significance_v=0.7,
-        target_loss=-1.0,
-        max_steps=15,
-        seed=2,
-    )
-    result = run_mlless(config)
-    assert result.total_steps == 15
-
-
-# -------------------------------------------------------------------- AUC
-def test_auc_perfect_separation():
-    scores = np.array([0.1, 0.2, 0.8, 0.9])
-    labels = np.array([0.0, 0.0, 1.0, 1.0])
-    assert auc(scores, labels) == 1.0
-    assert auc(-scores, labels) == 0.0
-
-
-def test_auc_random_is_half():
-    rng = np.random.default_rng(0)
-    scores = rng.random(4000)
-    labels = (rng.random(4000) < 0.5).astype(float)
-    assert abs(auc(scores, labels) - 0.5) < 0.03
-
-
-def test_auc_handles_ties():
-    scores = np.array([0.5, 0.5, 0.5, 0.5])
-    labels = np.array([0.0, 1.0, 0.0, 1.0])
-    assert auc(scores, labels) == pytest.approx(0.5)
-
-
-def test_auc_matches_pairwise_definition():
-    rng = np.random.default_rng(1)
-    scores = rng.random(60)
-    labels = (rng.random(60) < 0.4).astype(float)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
-    expected = wins / (len(pos) * len(neg))
-    assert auc(scores, labels) == pytest.approx(expected)
-
-
-def test_auc_validates():
-    with pytest.raises(ValueError):
-        auc(np.ones(3), np.ones(3))  # no negatives
-    with pytest.raises(ValueError):
-        auc(np.ones(3), np.zeros(4))
+from repro.ml import accuracy
 
 
 def test_accuracy():

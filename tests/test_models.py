@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.data.dataset import LRBatch, PMFBatch
-from repro.ml.models import LinearRegression, LogisticRegression, PMF
+from repro.ml.models import LogisticRegression, PMF
 from repro.ml.sparse import CSRMatrix
 
 
@@ -209,36 +209,3 @@ def test_pmf_validates_arguments():
         PMF(n_users=0, n_movies=5)
     with pytest.raises(ValueError):
         PMF(n_users=5, n_movies=5, l2=-0.1)
-
-
-# -------------------------------------------------------- linear regression
-def test_linreg_gradient_matches_numerical():
-    model = LinearRegression(n_features=6)
-    rng = np.random.default_rng(3)
-    dense = rng.random((8, 6))
-    batch = LRBatch(CSRMatrix.from_dense(dense), rng.normal(size=8))
-    params = model.init_params(rng)
-    params["w"][:] = rng.normal(size=6)
-
-    _, grad = model.gradient(params, batch)
-    num_w = numerical_grad(lambda: model.loss(params, batch), params["w"])
-    np.testing.assert_allclose(grad["w"].to_dense(), num_w, atol=1e-5)
-    num_b = numerical_grad(lambda: model.loss(params, batch), params["b"])
-    np.testing.assert_allclose(grad["b"].to_dense(), num_b, atol=1e-5)
-
-
-def test_linreg_recovers_planted_solution():
-    rng = np.random.default_rng(4)
-    w_true = np.array([1.0, -2.0, 0.5])
-    X = rng.normal(size=(200, 3))
-    y = X @ w_true
-    batch = LRBatch(CSRMatrix.from_dense(X), y)
-    model = LinearRegression(n_features=3)
-    params = model.init_params(rng)
-    from repro.ml.optim import SGD
-
-    opt = SGD(lr=0.1)
-    for t in range(1, 200):
-        _, grad = model.gradient(params, batch)
-        params.apply(opt.step(params, grad, t))
-    np.testing.assert_allclose(params["w"], w_true, atol=1e-3)

@@ -7,11 +7,9 @@ from repro.ml import ModelUpdate, ParameterSet
 from repro.ml.optim import (
     SGD,
     Adam,
-    AdaGrad,
     ConstantLR,
     InverseSqrtLR,
     MomentumSGD,
-    StepDecayLR,
 )
 from repro.ml.sparse import SparseDelta
 
@@ -38,16 +36,8 @@ def test_inverse_sqrt_lr():
     assert s.rate(100) == pytest.approx(0.2)
 
 
-def test_step_decay_lr():
-    s = StepDecayLR(1.0, gamma=0.5, period=10)
-    assert s.rate(1) == 1.0
-    assert s.rate(10) == 1.0
-    assert s.rate(11) == 0.5
-    assert s.rate(21) == 0.25
-
-
 def test_schedules_reject_step_zero():
-    for s in [ConstantLR(0.1), InverseSqrtLR(1.0), StepDecayLR(1.0)]:
+    for s in [ConstantLR(0.1), InverseSqrtLR(1.0)]:
         with pytest.raises(ValueError):
             s.rate(0)
 
@@ -149,24 +139,6 @@ def test_adam_validates_hyperparams():
         Adam(lr=0.1, beta2=-0.1)
     with pytest.raises(ValueError):
         Adam(lr=0.1, eps=0)
-
-
-# ----------------------------------------------------------------- AdaGrad
-def test_adagrad_matches_reference():
-    opt = AdaGrad(lr=0.5, eps=1e-10)
-    p = params([0.0])
-    acc = 0.0
-    for t in range(1, 4):
-        g = 2.0
-        acc += g * g
-        expected = -0.5 * g / (np.sqrt(acc) + 1e-10)
-        update = opt.step(p, dense_grad([g]), t=t)
-        assert update["w"].values[0] == pytest.approx(expected)
-
-
-def test_adagrad_validates():
-    with pytest.raises(ValueError):
-        AdaGrad(lr=0.1, eps=0)
 
 
 # ------------------------------------------------------------------- reset
