@@ -29,10 +29,13 @@ class EWMAFilter:
         return self._state
 
     def update(self, x: float) -> float:
+        x = float(x)
         if self._state is None:
-            self._state = float(x)
-        else:
-            self._state = self.alpha * float(x) + (1.0 - self.alpha) * self._state
+            self._state = x
+        elif x != self._state:
+            # A repeated value is its own average; the weighted sum could
+            # round away from it (``0.5 * 5e-324`` rounds to zero).
+            self._state = self.alpha * x + (1.0 - self.alpha) * self._state
         return self._state
 
     def reset(self) -> None:

@@ -42,11 +42,11 @@ class DropInsignificantFilter(SignificanceFilter):
         v_t = threshold_at(self.v, t)
         self._require_known(update)
         deltas: Dict[str, SparseDelta] = {}
-        for name in self._acc:
+        for name, shape in self._shapes.items():
             if name in update:
                 delta = update[name]
             else:
-                delta = SparseDelta.empty(self._acc[name].shape)
+                delta = SparseDelta.empty(shape)
             if delta.nnz == 0 or v_t <= 0:
                 deltas[name] = delta
                 continue
@@ -76,11 +76,15 @@ class TopKFilter(SignificanceFilter):
 
     def extract_significant(self, params: ParameterSet, t: int) -> ModelUpdate:
         deltas: Dict[str, SparseDelta] = {}
-        for name, acc in self._acc.items():
+        for name, shape in self._shapes.items():
+            acc = self._acc.get(name)
+            if acc is None:
+                deltas[name] = SparseDelta.empty(shape)
+                continue
             flat = np.ravel(acc)
             candidate = flat_nonzero(flat)
             if len(candidate) == 0:
-                deltas[name] = SparseDelta.empty(acc.shape)
+                deltas[name] = SparseDelta.empty(shape)
                 continue
             k = max(1, int(np.ceil(self.k_fraction * len(candidate))))
             magnitudes = np.abs(flat[candidate])

@@ -124,16 +124,18 @@ class WorkerCheckpoint:
         self.last_report = last_report
 
     def snapshot(self) -> "WorkerCheckpoint":
-        """An independent copy safe to hand to the KV store.
+        """An independent copy: mutating one never alters the other.
 
-        Equivalent to ``copy.deepcopy(self)`` — later mutations of the
-        live state (or of the stored copy) must never alias each other —
-        but copies only the NumPy buffers and small containers instead of
-        walking the whole object graph: parameters via
-        :meth:`ParameterSet.copy`, optimizer state via
-        :meth:`Optimizer.clone`, filter accumulators via
-        :meth:`SignificanceFilter.clone` (components without a
-        ``clone`` fall back to ``deepcopy``).
+        Equivalent to ``copy.deepcopy(self)``, but copies only the NumPy
+        buffers and small containers instead of walking the whole object
+        graph: parameters via :meth:`ParameterSet.copy`, optimizer state
+        via :meth:`Optimizer.clone`, the filter's allocated accumulators
+        via :meth:`SignificanceFilter.clone` (components without a
+        ``clone`` fall back to ``deepcopy``).  A worker's periodic
+        checkpoint stores a shallow twin and takes this copy for its own
+        live state once the KV set has returned, so the copy is never
+        alive next to the previous checkpoint; a resumed worker
+        snapshots the stored checkpoint it read.
         """
         optimizer = (
             self.optimizer.clone()
@@ -165,6 +167,10 @@ class WorkerCheckpoint:
         The optimizer buffers and the significance accumulators are dense
         tensors of the same shapes as the parameters; a conservative
         estimate charges one parameter-sized tensor for each state slot.
+        The accumulator slot is charged even when the filter has not
+        allocated it (a ``v = 0`` worker holds none): this is the size
+        of the modelled checkpoint, which stores the accumulators, and
+        every simulated transfer time and bill is computed from it.
         """
         state_slots = len(getattr(self.optimizer, "_state", {}))
         return self.params.nbytes * (2 + state_slots)

@@ -46,9 +46,11 @@ class SignificanceFilter:
         if v < 0:
             raise ValueError(f"v must be >= 0, got {v}")
         self.v = v
-        self._acc: Dict[str, np.ndarray] = {
-            name: np.zeros(shape) for name, shape in shapes.items()
-        }
+        self._shapes = dict(shapes)
+        #: dense residual per tensor, allocated on the tensor's first
+        #: ``add``; a tensor with no entry holds zeros (a filter that only
+        #: ever passes updates through, as at v = 0, allocates none)
+        self._acc: Dict[str, np.ndarray] = {}
         #: True while every accumulator is known to be all-zero, i.e.
         #: nothing is held back (always the case between steps at v = 0)
         self._nothing_held = True
@@ -56,14 +58,17 @@ class SignificanceFilter:
     @property
     def accumulated(self) -> Dict[str, np.ndarray]:
         """Read-only view of the residual accumulators (for tests)."""
-        return {n: a.copy() for n, a in self._acc.items()}
+        return {
+            name: self._acc[name].copy() if name in self._acc else np.zeros(shape)
+            for name, shape in self._shapes.items()
+        }
 
     def clone(self) -> "SignificanceFilter":
         """An independent copy with fresh accumulator buffers.
 
         All mutable state lives in ``_acc`` (subclasses only add scalar
         configuration); used by checkpoint snapshotting instead of
-        ``copy.deepcopy``.
+        ``copy.deepcopy``.  Only allocated accumulators are copied.
         """
         dup = copy.copy(self)
         dup._acc = {name: acc.copy() for name, acc in self._acc.items()}
@@ -71,14 +76,17 @@ class SignificanceFilter:
 
     def _require_known(self, update: ModelUpdate) -> None:
         for name in update.names:
-            if name not in self._acc:
+            if name not in self._shapes:
                 raise KeyError(f"update names unknown tensor {name!r}")
 
     def add(self, update: ModelUpdate) -> None:
         """Fold a local update ``u_t`` into the accumulators."""
         self._require_known(update)
         for name, delta in update:
-            delta.apply_to(self._acc[name])
+            acc = self._acc.get(name)
+            if acc is None:
+                acc = self._acc[name] = np.zeros(self._shapes[name])
+            delta.apply_to(acc)
             if delta.nnz:
                 self._nothing_held = False
 
@@ -95,10 +103,15 @@ class SignificanceFilter:
         gathered candidate set: the same IEEE operations see the same
         operands at every nonzero entry, and a zero entry gives
         ``0 > v_t``, which is False, so the selection is bit-identical.
+        An unallocated accumulator is all zeros and yields nothing.
         """
         v_t = threshold_at(self.v, t)
         deltas: Dict[str, SparseDelta] = {}
-        for name, acc in self._acc.items():
+        for name, shape in self._shapes.items():
+            acc = self._acc.get(name)
+            if acc is None:
+                deltas[name] = SparseDelta.empty(shape)
+                continue
             flat_acc = np.ravel(acc)
             if v_t <= 0:
                 significant = flat_nonzero(flat_acc)
@@ -127,12 +140,12 @@ class SignificanceFilter:
         """
         self._require_known(update)
         deltas: Dict[str, SparseDelta] = {}
-        for name, acc in self._acc.items():
+        for name, shape in self._shapes.items():
             if name not in update:
-                deltas[name] = SparseDelta.empty(acc.shape)
+                deltas[name] = SparseDelta.empty(shape)
                 continue
             delta = update[name]
-            if delta.shape != acc.shape or not delta.has_sorted_unique_indices:
+            if delta.shape != shape or not delta.has_sorted_unique_indices:
                 return None
             nonzero = delta.values != 0
             if not nonzero.all():

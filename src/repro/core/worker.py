@@ -38,6 +38,7 @@ itself.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, List
 
 import numpy as np
@@ -272,20 +273,25 @@ class BarrierWorkerPhases:
         worker_id = state.worker_id
 
         # FT: periodic barrier checkpoint so a crashed activation resumes
-        # from the last completed step instead of from scratch.  Snapshot:
-        # the KV store holds objects by reference, and the live replica
-        # keeps mutating after the write.
+        # from the last completed step instead of from scratch.  The KV
+        # store holds objects by reference, so the stored checkpoint and
+        # the live replica must not share buffers once the worker moves
+        # on.  The set gets a shallow twin: this machine is parked while
+        # the set is in flight, so nothing mutates the shared buffers, and
+        # only once the store owns them does the live replica continue on
+        # copies (two model-sized copies of the worker alive, not three).
         checkpointed = False
         ckpt_every = config.checkpoint_every
         if ckpt_every and t % ckpt_every == 0:
+            stored = copy.copy(state)
             try:
-                yield sv.kv_set(
-                    runtime.checkpoint_key(worker_id), state.snapshot()
-                )
-                checkpointed = True
+                yield sv.kv_set(runtime.checkpoint_key(worker_id), stored)
             except StorageError:
                 # A lost checkpoint only costs recomputation after a crash.
                 runtime.note_recovery("checkpoint_skipped")
+            else:
+                checkpointed = True
+                vars(state).update(vars(stored.snapshot()))
 
         # Relaunch before the platform kills the activation.
         if ectx.clock.remaining_time(self.started) < config.relaunch_margin_s:

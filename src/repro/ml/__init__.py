@@ -2,7 +2,6 @@
 
 from . import data, models, optim
 from .loss import bce_loss, mse_loss, rmse, sigmoid
-from .metrics import accuracy
 from .parameters import ModelUpdate, ParameterSet
 from .sparse import CSRMatrix, SparseDelta
 
@@ -15,7 +14,6 @@ __all__ = [
     "bce_loss",
     "mse_loss",
     "rmse",
-    "accuracy",
     "data",
     "models",
     "optim",

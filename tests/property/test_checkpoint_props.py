@@ -5,8 +5,11 @@ Fault-tolerant training relies on two invariants of the checkpoint path:
 1. **Round-trip fidelity** — whatever state a worker or the supervisor
    writes to the KV store comes back equal after relaunch.
 2. **Snapshot isolation** — the simulated KV store holds Python objects
-   by reference, so checkpoint writes deep-copy; mutating the live state
-   after a checkpoint must never alter the stored snapshot.
+   by reference, so a stored checkpoint and the live state must not
+   share buffers once the worker moves on (a worker copies its live
+   state after the write returns; ``tests/test_checkpoint_handoff.py``
+   holds that hand-off).  Mutating the live state after a checkpoint
+   must never alter the stored snapshot.
 """
 
 import copy

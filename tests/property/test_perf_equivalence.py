@@ -216,8 +216,8 @@ def _checkpoint_buffers(ckpt):
     for slot in sorted(ckpt.optimizer._state):
         for name, buf in sorted(ckpt.optimizer._state[slot].items()):
             out.append((f"optim/{slot}/{name}", buf.tobytes()))
-    for name in sorted(ckpt.sig_filter._acc):
-        out.append((f"filter/{name}", ckpt.sig_filter._acc[name].tobytes()))
+    for name, acc in sorted(ckpt.sig_filter.accumulated.items()):
+        out.append((f"filter/{name}", acc.tobytes()))
     return out
 
 
@@ -243,7 +243,9 @@ def test_snapshot_is_isolated_from_later_mutation(ckpt, noise):
     for per_slot in ckpt.optimizer._state.values():
         for buf in per_slot.values():
             buf += noise + 1.0
-    ckpt.sig_filter._acc["w"][:] += noise + 1.0
+    ckpt.sig_filter.add(
+        ModelUpdate({"w": SparseDelta(np.arange(SIZE), np.full(SIZE, noise + 1.0), (SIZE,))})
+    )
     ckpt.last_report["loss"] = "clobbered"
     assert _checkpoint_buffers(snap) == before
     assert snap.last_report["loss"] != "clobbered"
@@ -343,7 +345,7 @@ def _assert_filter_ops_equal(filt, naive, params, ops, first_t):
                 assert got[name].values.tobytes() == values.tobytes()
                 assert got[name].has_sorted_unique_indices
         for name, acc in naive.acc.items():
-            assert filt._acc[name].tobytes() == acc.tobytes()
+            assert filt.accumulated[name].tobytes() == acc.tobytes()
 
 
 @given(

@@ -170,7 +170,7 @@ def _peer_apply():
 
 def _checkpoint_snapshot():
     ckpt = _warmed_checkpoint().snapshot()
-    state, acc = ckpt.optimizer._state, ckpt.sig_filter._acc
+    state, acc = ckpt.optimizer._state, ckpt.sig_filter.accumulated
     return _sha_named(
         [
             *ckpt.params,
