@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import fig3
-from repro.experiments.report import render_table
+from repro.cli import render_table
 
 from conftest import emit
 

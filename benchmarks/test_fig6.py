@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments import fig6
-from repro.experiments.report import render_series, render_table
+from repro.cli import render_table
+from repro.experiments.report import render_series
 
 from conftest import FULL, emit
 

@@ -8,7 +8,7 @@ reports what it cost.
     python examples/dataset_prep_mapreduce.py
 """
 
-from repro.experiments.common import build_world
+from repro.api import build_world
 from repro.mapreduce import PyWrenExecutor, normalize_via_mapreduce
 from repro.ml.data import CriteoSpec, criteo_like
 

@@ -118,9 +118,9 @@ def main(argv=None):
 
     trace_section = None
     if tracer is not None:
-        from repro.experiments.report import render_table
+        from repro.cli import render_table
         from repro.trace import CostLedger
-        from repro.trace_cli import write_run_trace
+        from repro.trace.cli import write_run_trace
 
         billing = result.meter.faas
         ledger = CostLedger.from_trace(tracer, billing)

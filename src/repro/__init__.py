@@ -5,7 +5,12 @@ Cost Efficiency in Serverless Machine Learning Training" (Middleware '21):
 the MLLess system (ISP significance filter + scale-in auto-tuner), every
 substrate it runs on (discrete-event simulated FaaS platform, object/KV/
 message-queue storage, VM clusters), both comparison baselines, and the
-full experiment harness regenerating each table and figure.
+experiment harness regenerating each table and figure.
+
+The front door is :mod:`repro.api`: the named workloads of the paper's
+Table 1 and the calls that build a simulated world and run one job
+(this package re-exports the three most used).  The figure harness,
+:mod:`repro.experiments`, is not imported here.
 
 Quick start::
 
@@ -35,7 +40,7 @@ from .core import (
     RunResult,
     perf_per_dollar,
 )
-from .experiments.common import SimWorld, build_world, run_mlless
+from .api import SimWorld, build_world, run_mlless
 from .faults import FAULT_PROFILES, FaultInjector, FaultProfile
 
 __version__ = "1.0.0"

@@ -25,7 +25,12 @@ SIMULATED_LAYERS = (
     "vm",
     "core",
     "faults",
-    "trace",
+    # trace/cli.py is the package's host-I/O surface and stays outside.
+    "trace/__init__.py",
+    "trace/critical.py",
+    "trace/export.py",
+    "trace/ledger.py",
+    "trace/tracer.py",
     # The exec package is split: the backend contract and the sim adapter
     # run on the simulated clock and are purity-enforced; exec/local.py
     # and exec/procs.py are the real-thread/process backends where
@@ -53,7 +58,6 @@ SIMULATED_LAYERS = (
 #: modules whose arithmetic becomes dollar figures (SIM004 scope)
 BILLING_MODULES = (
     "faas/billing.py",
-    "experiments/report.py",
     "pricing/meter.py",
     "pricing/catalog.py",
     "trace/ledger.py",

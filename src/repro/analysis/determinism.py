@@ -119,7 +119,7 @@ def default_run(seed: int, tracer=None) -> Monitor:
     does not perturb the schedule.
     """
     from ..core import JobConfig, MLLessDriver
-    from ..experiments.common import build_world, make_runtime
+    from ..api import build_world, make_runtime
     from ..ml.data import MovieLensSpec, movielens_like
     from ..ml.models import PMF
     from ..ml.optim import InverseSqrtLR, MomentumSGD

@@ -10,9 +10,9 @@
     repro determinism [--trace-invariance]
 
 This module builds the only parser and owns what every subcommand
-shares: the exit codes, :func:`fail`, the file writers and the
-``BrokenPipeError`` guard.  Each package's host-I/O module
-(:mod:`repro.scenarios.cli`, :mod:`repro.trace_cli`,
+shares: the exit codes, :func:`fail`, the file writers, the text
+tables and the ``BrokenPipeError`` guard.  Each package's host-I/O module
+(:mod:`repro.scenarios.cli`, :mod:`repro.trace.cli`,
 :mod:`repro.analysis.cli`, :mod:`repro.analysis.determinism`)
 contributes ``add_parser(subparsers)`` and the handlers behind it;
 ``run`` lives here.
@@ -28,17 +28,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from .core.capabilities import BACKENDS, COST_METERING, TABLE
-from .experiments.common import (
+from .api import (
+    WORKLOADS,
+    make_workload,
     mlless_config,
     run_mlless,
     run_pywren_workload,
     run_serverful_workload,
 )
-from .experiments.report import fault_summary_rows, render_table
-from .experiments.settings import WORKLOADS, make_workload
+from .core.capabilities import BACKENDS, COST_METERING, TABLE
 from .faults import FAULT_PROFILES
 
 __all__ = [
@@ -49,7 +49,9 @@ __all__ = [
     "EXIT_UNSTABLE",
     "build_parser",
     "fail",
+    "fault_summary_rows",
     "main",
+    "render_table",
     "write_json",
     "write_text",
 ]
@@ -79,12 +81,80 @@ def write_json(path: Any, doc: Any) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# -- text tables ----------------------------------------------------------
+
+Cell = Union[str, int, float, None]
+
+
+def _format_cell(value: Cell) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000:
+            return f"{value:,.0f}"
+        if abs(value) >= 1:
+            return f"{value:.3f}".rstrip("0").rstrip(".")
+        return f"{value:.4g}"
+    return str(value)
+
+
+def render_table(rows: Sequence[Dict[str, Cell]], title: str = "") -> str:
+    """Render a list of homogeneous row dicts as an aligned text table."""
+    if not rows:
+        return f"{title}\n(empty)" if title else "(empty)"
+    columns = list(rows[0].keys())
+    formatted = [[_format_cell(r.get(c)) for c in columns] for r in rows]
+    widths = [
+        max(len(c), *(len(f[i]) for f in formatted))
+        for i, c in enumerate(columns)
+    ]
+    sep = "-+-".join("-" * w for w in widths)
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+    lines.append(" | ".join(c.ljust(w) for c, w in zip(columns, widths)))
+    lines.append(sep)
+    for f in formatted:
+        lines.append(" | ".join(v.ljust(w) for v, w in zip(f, widths)))
+    return "\n".join(lines)
+
+
+def fault_summary_rows(result) -> List[Dict[str, Cell]]:
+    """Per-kind injected-fault and recovery counts from a run's extras.
+
+    Returns rows for :func:`render_table` — empty when the run had no
+    fault injector attached (so callers can skip the table entirely).
+    """
+    extras = result.extras
+    if "faults_injected" not in extras:
+        return []
+    rows: List[Dict[str, Cell]] = [
+        {"event": key[len(prefix):], "kind": kind, "count": int(extras[key])}
+        for prefix, kind in (("fault.", "injected"), ("recovery.", "recovery"))
+        for key in sorted(extras)
+        if key.startswith(prefix)
+    ]
+    rows.append(
+        {"event": "total", "kind": "injected", "count": int(extras["faults_injected"])}
+    )
+    rows.append(
+        {
+            "event": "total",
+            "kind": "recovery",
+            "count": int(extras.get("faults_recovered", 0)),
+        }
+    )
+    return rows
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Imported here, not at the top: these modules import the helpers above.
-    from . import trace_cli
     from .analysis import cli as lint_cli
     from .analysis import determinism
     from .scenarios import cli as scenario_cli
+    from .trace import cli as trace_cli
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -244,7 +314,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(render_table(fault_rows, f"faults ({args.faults})"))
     if tracer is not None:
         from .trace import CostLedger
-        from .trace_cli import write_run_trace
+        from .trace.cli import write_run_trace
 
         billing = result.meter.faas
         ledger = CostLedger.from_trace(tracer, billing)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .common import mlless_config, run_mlless
-from .report import render_table
-from .settings import make_workload
+from ..api import make_workload, mlless_config, run_mlless
+from ..cli import render_table
 
 __all__ = [
     "ablation_accumulation",

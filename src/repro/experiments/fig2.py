@@ -20,10 +20,9 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..api import make_workload, mlless_config, run_mlless
+from ..cli import render_table
 from ..core import ReferenceCurve, SlowCurve, SlopeKneeDetector, ewma
-from .common import mlless_config, run_mlless
-from .report import render_table
-from .settings import make_workload
 
 __all__ = [
     "fig2a_training_speed",

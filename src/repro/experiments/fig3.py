@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..cli import render_table
 from ..faas import FaaSPlatform, FunctionSpec, IBM_CLOUD_FUNCTIONS_LIMITS
 from ..sim import Environment, RandomStreams
-from .report import render_table
 
 __all__ = ["fig3_thread_speedup", "main"]
 

@@ -13,11 +13,25 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .common import mlless_config, run_mlless, run_mlless_traced
-from .report import render_table
-from .settings import make_workload
+from ..api import build_world, make_workload, mlless_config, run_mlless
+from ..cli import render_table
+from ..trace import Tracer
+from ..trace.cli import write_run_trace
 
 __all__ = ["fig5_autotuner", "main"]
+
+
+def run_mlless_traced(config, trace_path: str):
+    """Run one traced MLLess job and write its trace files; returns the result.
+
+    ``trace_path`` receives the Chrome trace and ``trace_path + ".jsonl"``
+    the JSONL dump, with the run's billing records embedded.
+    """
+    tracer = Tracer()
+    world = build_world(seed=config.seed, faults=config.faults, tracer=tracer)
+    result = run_mlless(config, world=world)
+    write_run_trace(tracer, trace_path, billing=world.platform.billing)
+    return result
 
 
 def fig5_autotuner(
@@ -60,9 +74,7 @@ def fig5_autotuner(
                     trace_path = (
                         f"{trace_dir}/fig5-{name}-P{p}-{label}.trace.json"
                     )
-                    results[tuner], _, _ = run_mlless_traced(
-                        config, trace_path=trace_path
-                    )
+                    results[tuner] = run_mlless_traced(config, trace_path)
                 else:
                     results[tuner] = run_mlless(config)
             off, on = results[False], results[True]

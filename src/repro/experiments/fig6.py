@@ -18,15 +18,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core import RunResult
-from .common import (
+from ..api import (
+    make_workload,
     mlless_config,
     run_mlless,
     run_pywren_workload,
     run_serverful_workload,
 )
-from .report import render_table
-from .settings import make_workload
+from ..cli import render_table
+from ..core import RunResult
 
 __all__ = ["fig6_comparison", "run_all_systems", "main"]
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from ..api import make_workload
+from ..cli import render_table
 from .fig6 import SYSTEMS, run_all_systems
-from .report import render_table
-from .settings import make_workload
 
 __all__ = ["fig7_budget_comparison", "main"]
 

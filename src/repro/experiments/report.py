@@ -1,53 +1,19 @@
-"""Plain-text rendering of experiment results (tables and series).
+"""Plain-text rendering of experiment series and banners.
 
 Every experiment module returns plain data (lists of row dicts or
-series); these helpers print them in the shape the paper's tables and
-figure captions report, so ``pytest benchmarks/ --benchmark-only`` output
-can be compared against the paper side by side.
+series); tables print with :func:`repro.cli.render_table` and these
+helpers print the rest, in the shape the paper's figure captions
+report, so ``pytest benchmarks/ --benchmark-only`` output can be
+compared against the paper side by side.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Iterable
 
-__all__ = ["render_table", "render_series", "banner", "fault_summary_rows"]
+from ..cli import _format_cell
 
-Cell = Union[str, int, float, None]
-
-
-def _format_cell(value: Cell) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        if value == 0:  # sim-lint: disable=SIM004 — exact-zero display check, not metering math
-            return "0"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        if abs(value) >= 1:
-            return f"{value:.3f}".rstrip("0").rstrip(".")
-        return f"{value:.4g}"
-    return str(value)
-
-
-def render_table(rows: Sequence[Dict[str, Cell]], title: str = "") -> str:
-    """Render a list of homogeneous row dicts as an aligned text table."""
-    if not rows:
-        return f"{title}\n(empty)" if title else "(empty)"
-    columns = list(rows[0].keys())
-    formatted = [[_format_cell(r.get(c)) for c in columns] for r in rows]
-    widths = [
-        max(len(c), *(len(f[i]) for f in formatted))
-        for i, c in enumerate(columns)
-    ]
-    sep = "-+-".join("-" * w for w in widths)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    lines.append(" | ".join(c.ljust(w) for c, w in zip(columns, widths)))
-    lines.append(sep)
-    for f in formatted:
-        lines.append(" | ".join(v.ljust(w) for v, w in zip(f, widths)))
-    return "\n".join(lines)
+__all__ = ["render_series", "banner"]
 
 
 def render_series(
@@ -73,48 +39,3 @@ def render_series(
 def banner(text: str) -> str:
     bar = "=" * max(len(text), 8)
     return f"{bar}\n{text}\n{bar}"
-
-
-def fault_summary_rows(result) -> List[Dict[str, Cell]]:
-    """Per-kind injected-fault and recovery counts from a run's extras.
-
-    Returns rows for :func:`render_table` — empty when the run had no
-    fault injector attached (so callers can skip the table entirely).
-    """
-    extras = result.extras
-    if "faults_injected" not in extras:
-        return []
-    rows: List[Dict[str, Cell]] = []
-    for key in sorted(extras):
-        if key.startswith("fault."):
-            rows.append(
-                {
-                    "event": key[len("fault."):],
-                    "kind": "injected",
-                    "count": int(extras[key]),
-                }
-            )
-    for key in sorted(extras):
-        if key.startswith("recovery."):
-            rows.append(
-                {
-                    "event": key[len("recovery."):],
-                    "kind": "recovery",
-                    "count": int(extras[key]),
-                }
-            )
-    rows.append(
-        {
-            "event": "total",
-            "kind": "injected",
-            "count": int(extras["faults_injected"]),
-        }
-    )
-    rows.append(
-        {
-            "event": "total",
-            "kind": "recovery",
-            "count": int(extras.get("faults_recovered", 0)),
-        }
-    )
-    return rows

@@ -1,207 +1,9 @@
-"""Workload definitions — Table 1 of the paper, scaled for local runs.
+"""Old path of :mod:`repro.api`, kept until ``benchmarks/e2e`` imports that."""
 
-Three jobs, exactly the paper's model/dataset/optimizer pairings:
+import sys
 
-=======  ==================  ========================  =================
-Model    Dataset             Optimizer                 Setting
-=======  ==================  ========================  =================
-LR       Criteo(-like)       Adam                      B = 6,250
-PMF      ML-10M(-like)       SGD + Nesterov momentum   B = 6,250, r = 20
-PMF      ML-20M(-like)       SGD + Nesterov momentum   B = 12K,  r = 20
-=======  ==================  ========================  =================
+from .. import api
 
-The datasets are synthetic stand-ins (see DESIGN.md) scaled so each
-simulated run finishes in seconds of real time; batch sizes scale with
-them.  Worker counts keep the paper's 12/24 pairs.  Loss-threshold targets
-are re-derived for the synthetic data (the paper's absolute thresholds are
-dataset-specific): each target sits in the late-but-not-floor region of
-the loss curve, the same regime the paper's thresholds occupy.
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
-from typing import Callable, Dict
-
-from ..ml.data import (
-    CriteoSpec,
-    Dataset,
-    MLPSpec,
-    MovieLensSpec,
-    criteo_like,
-    mlp_synth,
-    movielens_like,
-)
-from ..ml.models import LayeredMLP, LogisticRegression, PMF
-from ..ml.models.base import Model
-from ..ml.optim import Adam, InverseSqrtLR, MomentumSGD
-from ..ml.optim.base import Optimizer
-
-__all__ = ["Workload", "WORKLOADS", "make_workload"]
-
-
-@dataclass(frozen=True)
-class Workload:
-    """A named (model, dataset, optimizer, targets) bundle."""
-
-    name: str
-    make_model: Callable[[], Model]
-    make_optimizer: Callable[[], Optimizer]
-    make_dataset: Callable[[int], Dataset]
-    #: mini-batch size (per worker; fixed under weak scaling)
-    batch_size: int
-    #: convergence threshold used when running "until convergence"
-    target_loss: float
-    #: a stricter threshold for the long-horizon comparison (Fig. 6)
-    deep_target_loss: float
-    #: the paper's default ISP significance threshold
-    default_v: float = 0.7
-    #: default worker pool (the paper reports P = 24; 12 also used)
-    default_workers: int = 12
-    metric: str = "loss"
-    description: str = ""
-
-    def dataset(self, seed: int = 0) -> Dataset:
-        return self.make_dataset(seed)
-
-    def model(self) -> Model:
-        return self.make_model()
-
-    def optimizer(self) -> Optimizer:
-        return self.make_optimizer()
-
-
-# ---------------------------------------------------------------------------
-# LR on Criteo-like data (Adam).  Paper: B=6250, BCE target 0.58.
-# ---------------------------------------------------------------------------
-
-_CRITEO_SPEC = CriteoSpec(
-    n_samples=48_000,
-    n_numeric=13,
-    n_categorical=26,
-    n_hash_buckets=40_000,
-    batch_size=500,
-    positive_rate=0.25,
-    label_noise=0.05,
-)
-
-_LR_FEATURES = _CRITEO_SPEC.n_numeric + _CRITEO_SPEC.n_hash_buckets
-
-
-def _lr_criteo() -> Workload:
-    return Workload(
-        name="lr-criteo",
-        make_model=lambda: LogisticRegression(_LR_FEATURES, l2=1e-5),
-        make_optimizer=lambda: Adam(lr=0.02),
-        make_dataset=lambda seed: criteo_like(_CRITEO_SPEC, seed=seed),
-        batch_size=_CRITEO_SPEC.batch_size,
-        target_loss=0.42,
-        deep_target_loss=0.38,
-        metric="bce",
-        description="sparse logistic regression, Criteo-like CTR data",
-    )
-
-
-# ---------------------------------------------------------------------------
-# PMF on MovieLens-like data (SGD + Nesterov).  Paper: r=20,
-# RMSE targets 0.82 (run-until-convergence) and 0.738 (deep, ML-10M).
-# ---------------------------------------------------------------------------
-
-_ML10M_SPEC = MovieLensSpec(
-    n_users=2_000,
-    n_movies=4_000,
-    n_ratings=160_000,
-    rank=10,
-    batch_size=500,
-    noise=0.40,
-)
-
-_ML20M_SPEC = MovieLensSpec(
-    n_users=3_000,
-    n_movies=8_000,
-    n_ratings=320_000,
-    rank=10,
-    batch_size=500,
-    noise=0.40,
-)
-
-def _pmf(
-    name: str, spec: MovieLensSpec, target: float, deep: float, rank: int = 16
-) -> Workload:
-    return Workload(
-        name=name,
-        make_model=lambda: PMF(
-            spec.n_users, spec.n_movies, rank=rank, l2=0.02, rating_offset=3.5
-        ),
-        make_optimizer=lambda: MomentumSGD(
-            lr=InverseSqrtLR(16.0), momentum=0.9, nesterov=True
-        ),
-        make_dataset=lambda seed: movielens_like(spec, seed=seed),
-        batch_size=spec.batch_size,
-        target_loss=target,
-        deep_target_loss=deep,
-        metric="rmse",
-        description=f"probabilistic matrix factorization, {name} data",
-    )
-
-
-def _pmf_ml10m() -> Workload:
-    return _pmf("pmf-ml10m", _ML10M_SPEC, target=0.70, deep=0.66, rank=16)
-
-
-def _pmf_ml20m() -> Workload:
-    # The larger job also uses a larger factor rank, so its per-step
-    # updates (and therefore its communication share) are the biggest of
-    # the three workloads — it is where the paper sees ISP's 3x peak.
-    return _pmf("pmf-ml20m", _ML20M_SPEC, target=0.72, deep=0.69, rank=24)
-
-
-# ---------------------------------------------------------------------------
-# Layered MLP on dense synthetic regression data (Adam).  Not a Table 1
-# workload: this is the dense model-parallel job (FuncPipe-style stages,
-# see PAPERS.md) and the data-parallel cross-backend reference.  Four
-# weight layers so it splits into up to four pipeline stages.
-# ---------------------------------------------------------------------------
-
-_MLP_SPEC = MLPSpec(
-    n_samples=8_000,
-    n_features=32,
-    hidden=(24, 24),
-    n_outputs=1,
-    batch_size=400,
-    noise=0.1,
-)
-
-_MLP_SIZES = [_MLP_SPEC.n_features, 64, 64, 32, _MLP_SPEC.n_outputs]
-
-
-def _mlp_synth() -> Workload:
-    return Workload(
-        name="mlp-synth",
-        make_model=lambda: LayeredMLP(_MLP_SIZES),
-        make_optimizer=lambda: Adam(lr=0.01),
-        make_dataset=lambda seed: mlp_synth(_MLP_SPEC, seed=seed),
-        batch_size=_MLP_SPEC.batch_size,
-        target_loss=0.02,
-        deep_target_loss=0.008,
-        default_v=0.0,  # dense gradients: ISP filtering does not apply
-        default_workers=4,
-        metric="mse",
-        description="dense layered MLP, planted-teacher regression data",
-    )
-
-
-WORKLOADS: Dict[str, Callable[[], Workload]] = {
-    "lr-criteo": _lr_criteo,
-    "pmf-ml10m": _pmf_ml10m,
-    "pmf-ml20m": _pmf_ml20m,
-    "mlp-synth": _mlp_synth,
-}
-
-
-def make_workload(name: str, **overrides) -> Workload:
-    """Build a workload by name, optionally overriding fields."""
-    if name not in WORKLOADS:
-        raise KeyError(f"unknown workload {name!r}; have {sorted(WORKLOADS)}")
-    workload = WORKLOADS[name]()
-    return replace(workload, **overrides) if overrides else workload
+# The module itself, not a re-export: a patch of a name here (the e2e
+# benchmark wraps ``make_runtime``) must reach the global the builders read.
+sys.modules[__name__] = api

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List
 
+from ..api import _CRITEO_SPEC, make_workload, mlless_config, run_mlless
+from ..cli import render_table
 from ..ml.data import criteo_like
 from ..pricing import FUNCTIONS_PRICE_PER_S, PRICING
-from .common import mlless_config, run_mlless
-from .report import render_table
-from .settings import _CRITEO_SPEC, make_workload
 
 __all__ = ["table1_settings", "table2_pricing", "table3_constant_global_batch"]
 
@@ -28,12 +27,12 @@ def table1_settings() -> List[Dict]:
     rows = []
     for name in ("lr-criteo", "pmf-ml10m", "pmf-ml20m"):
         workload = make_workload(name)
-        model = workload.model()
+        model = workload.make_model()
         rows.append(
             {
                 "model": type(model).__name__,
                 "dataset": name.split("-", 1)[1],
-                "optimizer": type(workload.optimizer()).__name__,
+                "optimizer": type(workload.make_optimizer()).__name__,
                 "workers": "12, 24",
                 "batch_size": workload.batch_size,
                 "metric": workload.metric,

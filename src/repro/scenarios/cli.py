@@ -1,6 +1,6 @@
 """The ``repro scenario`` subcommands: list, validate and run scenarios.
 
-This is the package's host-I/O module (the ``trace_cli`` split): it
+This is the package's host-I/O module (as ``repro.trace.cli`` is): it
 reads template/spec files, writes KPI reports, and prints — everything
 the pure spec/compiler layers are forbidden to do.
 

@@ -2,7 +2,7 @@
 
 The compiler owns *how* a declarative scenario becomes actual work:
 
-* ``kind = "single-job"`` → :func:`repro.experiments.common.run_mlless`
+* ``kind = "single-job"`` → :func:`repro.api.run_mlless`
   on the requested backend (``sim`` / ``local`` / ``procs``), with fault
   profiles, span tracing and pricing threaded into the simulated world,
   and an optional right-sizing sweep over (workers, ISP threshold);
@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
+from ..api import build_world, make_workload, mlless_config, run_mlless
 from ..core.capabilities import COST_METERING, TABLE, WORLD, supports
-from ..experiments.common import build_world, mlless_config, run_mlless
-from ..experiments.settings import make_workload
 from .kpi import (
     evaluate_budget,
     finalize_report,

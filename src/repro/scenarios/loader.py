@@ -3,7 +3,7 @@
 This module is pure — it maps *text* to :class:`ScenarioSpec` and back.
 Reading files off disk is host I/O and lives in
 :mod:`repro.scenarios.cli` (the same split as ``repro.trace`` /
-``repro.trace_cli``).
+``repro.trace.cli``).
 
 TOML is parsed by the standard library's :mod:`tomllib`, JSON by
 :mod:`json`.

@@ -13,7 +13,7 @@ Two scenario kinds exist:
 
 * ``single-job`` — one MLLess training job (optionally swept over
   worker counts and ISP thresholds) on any execution backend, lowered
-  onto :func:`repro.experiments.common.run_mlless`;
+  onto :func:`repro.api.run_mlless`;
 * ``platform`` — a multi-tenant run (arrivals, fair-share scheduler,
   shared pool, per-tenant invoices) lowered onto
   :func:`repro.platform.scenario.run_scenario`.
@@ -50,7 +50,7 @@ from typing import (
 
 from ..core import capabilities as cap
 from ..core.config import pipeline_shape_error
-from ..experiments.settings import WORKLOADS
+from ..api import WORKLOADS
 from ..faas.limits import FaaSLimits
 from ..faults import FAULT_PROFILES, FaultProfile
 

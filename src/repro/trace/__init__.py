@@ -4,7 +4,7 @@ Span tracing (:mod:`~repro.trace.tracer`), cost attribution against the
 FaaS bill (:mod:`~repro.trace.ledger`), per-step critical-path and
 straggler analysis (:mod:`~repro.trace.critical`), and pure exporters
 (:mod:`~repro.trace.export`).  File writing and the CLI live in
-:mod:`repro.trace_cli`; run ``repro trace summary|cost|chrome`` on a
+:mod:`repro.trace.cli`; run ``repro trace summary|cost|chrome`` on a
 saved ``.jsonl`` trace.
 
 Invariant: enabling tracing never changes the simulation — the tracer

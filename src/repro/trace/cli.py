@@ -1,7 +1,8 @@
 """Host-side trace tooling: file writers and the ``repro trace`` subcommands.
 
-Lives outside the simulated layers (like :mod:`repro.cli`) because it
-opens files and prints; everything it calls in :mod:`repro.trace` is pure.
+The package's host-I/O module (like :mod:`repro.scenarios.cli`): it
+opens files and prints, so it sits outside the simulated layers;
+everything it calls in :mod:`repro.trace` is pure.
 
 Usage::
 
@@ -21,9 +22,8 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Tuple
 
-from .cli import EXIT_OK, fail, write_text
-from .experiments.report import render_table
-from .trace import (
+from ..cli import EXIT_OK, fail, render_table, write_text
+from . import (
     CostLedger,
     TraceData,
     chrome_trace,

@@ -2,8 +2,8 @@
 
 Everything here returns data (dicts, line iterators, parsed objects) and
 never touches the filesystem — file writing lives in
-:mod:`repro.trace_cli`, outside the simulated layers, so this package
-stays sim-lint clean.
+:mod:`repro.trace.cli`, outside the simulated layers, so the rest of
+the package stays sim-lint clean.
 
 Formats:
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.determinism import check_determinism, default_run
 from repro.core import JobConfig, MLLessDriver
-from repro.experiments.common import build_world, make_runtime
+from repro.api import build_world, make_runtime
 from repro.faults import FAULT_PROFILES
 from repro.ml.data import MovieLensSpec, movielens_like
 from repro.ml.models import PMF
@@ -30,6 +30,8 @@ VARIANT_DIGESTS = {
     "ssp": "e9f1ac90b2c24927e5f83c3468e69fccc9e313deef31128bec730d5625da024c",
     "bsp_chaos": "07b9ede16a80c8fdf022219c168bdc4b08f4950d438aa5ab76014e1ddcbb35e9",
     "bsp_v0": "c6120090d63b1129934828fd3713e07a1bc295568eaa6940374f1d5f733724ed",
+    # the v = 0 checkpoint path under faults (captured at 1ce24c9)
+    "bsp_v0_chaos": "998794855129b6ad9ac0e0b4223ac2e027e4696311c469634ca85229dc87bec0",
 }
 
 
@@ -84,6 +86,15 @@ def test_faulted_digest_matches_pre_refactor():
 
 def test_bsp_v0_digest_matches_pre_refactor():
     assert _variant_digest(sync="bsp", v=0.0) == VARIANT_DIGESTS["bsp_v0"]
+
+
+def test_faulted_v0_digest_is_pinned():
+    # v = 0 with faults: the pass-through filter's checkpoint and relaunch
+    # path, which neither bsp_chaos (v = 0.5) nor bsp_v0 (no faults) runs.
+    assert (
+        _variant_digest(sync="bsp", faults=FAULT_PROFILES["chaos"], v=0.0)
+        == VARIANT_DIGESTS["bsp_v0_chaos"]
+    )
 
 
 def test_oracle_still_deterministic_run_to_run():

@@ -130,7 +130,7 @@ def test_local_ssp_trains_end_to_end():
 
 
 def test_local_backend_rejects_sim_only_arguments():
-    from repro.experiments.common import build_world
+    from repro.api import build_world
 
     with pytest.raises(ValueError, match="simulation world"):
         run_mlless(pmf_config(), world=build_world(seed=0), backend="local")

@@ -9,8 +9,7 @@ exactly the sustained skew the SMLT-style policy is built to detect.
 import numpy as np
 
 from repro import run_mlless
-from repro.experiments.common import mlless_config
-from repro.experiments.settings import WORKLOADS
+from repro.api import WORKLOADS, mlless_config
 from repro.faults import FaultProfile
 
 

@@ -1,7 +1,7 @@
 """The supervisor garbage-collects consumed update keys from the KV store."""
 
 from repro import JobConfig, run_mlless
-from repro.experiments.common import build_world
+from repro.api import build_world
 
 from .conftest import make_model, make_optimizer
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import JobConfig, run_mlless
-from repro.experiments.common import build_world, make_runtime
+from repro.api import build_world, make_runtime
 from repro.core import MLLessDriver
 
 from .conftest import make_model, make_optimizer

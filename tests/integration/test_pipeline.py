@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro import JobConfig, run_mlless
-from repro.experiments.common import mlless_config
-from repro.experiments.settings import WORKLOADS
+from repro.api import WORKLOADS, mlless_config
 from repro.ml.data import MLPSpec, mlp_synth
 from repro.ml.models import LayeredMLP
 from repro.ml.optim import Adam

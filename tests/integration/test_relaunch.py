@@ -1,7 +1,7 @@
 """Checkpoint/relaunch at the FaaS duration cap (workers and supervisor)."""
 
 from repro import JobConfig, run_mlless
-from repro.experiments.common import build_world
+from repro.api import build_world
 from repro.faas import FaaSLimits, FaaSPlatform
 from repro.sim import RandomStreams
 

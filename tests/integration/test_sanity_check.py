@@ -15,7 +15,7 @@ from repro.baselines import (
     ServerfulConfig,
     ServerfulTrainer,
 )
-from repro.experiments.common import build_world
+from repro.api import build_world
 
 from .conftest import make_model, make_optimizer
 

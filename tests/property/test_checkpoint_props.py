@@ -100,7 +100,7 @@ def test_worker_checkpoint_snapshot_is_isolated(ckpt, noise):
 
 
 def _make_runtime():
-    from repro.experiments.common import build_world, make_runtime
+    from repro.api import build_world, make_runtime
 
     dataset = movielens_like(
         MovieLensSpec(n_users=30, n_movies=20, n_ratings=1000, batch_size=250),

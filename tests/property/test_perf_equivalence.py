@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.runtime import WorkerCheckpoint
 from repro.core.significance import SignificanceFilter
-from repro.experiments.settings import _CRITEO_SPEC
+from repro.api import _CRITEO_SPEC
 from repro.ml import ModelUpdate, ParameterSet
 from repro.ml.data import CriteoSpec, Dataset, LRBatch, criteo_like
 from repro.ml.data.synthetic import _planted_logits

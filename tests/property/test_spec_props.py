@@ -41,7 +41,7 @@ from repro.core.capabilities import (
     Refusal,
 )
 from repro.exec import local, procs
-from repro.experiments import common
+from repro import api
 from repro.scenarios import (
     FaultSpec,
     SpecError,
@@ -222,7 +222,7 @@ def spec_verdict(asked, backend):
 @contextlib.contextmanager
 def nothing_trains():
     """``run_mlless`` admits the job as usual, then hands it to a stub."""
-    with mock.patch.object(common, "MLLessDriver"), \
+    with mock.patch.object(api, "MLLessDriver"), \
             mock.patch.object(local, "run_local_job"), \
             mock.patch.object(procs, "run_procs_job"):
         yield

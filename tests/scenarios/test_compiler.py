@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments.settings import Workload
+from repro.api import Workload
 from repro.scenarios import run_scenario_spec, spec_from_dict
 from repro.scenarios.compiler import KPI_SCHEMA, _jsonify, _recommend
 

@@ -8,6 +8,7 @@ KPI digests, exact invoice/billing reconciliation on every run.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.scenarios import dump_spec_toml, load_spec_text, run_scenario_spec
@@ -73,12 +74,24 @@ def test_template_dump_is_pinned(name):
     assert digests == DUMP_PINS[name]
 
 
-#: the platform templates' whole KPI payload digests.  No ML and no BLAS
-#: runs in these two, so the literals are portable; a moved one is a
-#: behaviour change in the platform, the compiler or the KPI roll-up.
+#: every template's whole KPI payload digest.  The two platform templates
+#: run no ML and no BLAS, so their literals are portable; the three
+#: single-job templates train a model, so theirs also depend on NumPy's
+#: arithmetic and a failure names ``numpy.__version__``.  A moved literal
+#: is a behaviour change in the platform, the job builders, the compiler
+#: or the KPI roll-up.
 KPI_PINS = {
     "diurnal-multi-tenant": (
         "746df721c30e8c645203cd95c46106d109d790e779cd24376ba4f94f3835a49e"
+    ),
+    "fault-storm": (
+        "192565bc89e37e09e393234e6923987feeb9bf4cf8273bbb2d6dc8294af6e3f7"
+    ),
+    "pipeline-mlp": (
+        "dfe3cb1e15c21c41e4523cee2f9b43bf5f87f35efc68088447c806e07902a8ce"
+    ),
+    "rightsize-sweep": (
+        "a4bc0e79986d06e785b59b787773d66d8ff47ad6f801164700eaf2e90186ff52"
     ),
     "spot-capacity-crunch": (
         "ee2a4547ccc02d5fe4fc71eebb60f7813d5f0434eea6eb9731fbefb4c16aa259"
@@ -86,8 +99,8 @@ KPI_PINS = {
 }
 
 
-def test_every_platform_template_has_a_kpi_pin():
-    assert sorted(KPI_PINS) == [n for n in NAMES if load(n).kind == "platform"]
+def test_every_template_has_a_kpi_pin():
+    assert sorted(KPI_PINS) == sorted(NAMES)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -98,8 +111,9 @@ def test_template_digest_stable_across_reruns(name):
     assert first["digest"] == second["digest"], (
         f"template {name!r} is not seed-deterministic"
     )
-    if name in KPI_PINS:
-        assert first["digest"] == KPI_PINS[name]
+    assert first["digest"] == KPI_PINS[name], (
+        f"{name} moved (numpy {np.__version__})"
+    )
     # reconciliation ran (it raises on any mismatch, so presence == pass)
     assert first["reconciliation"]
     if spec.kind == "platform":

@@ -9,7 +9,7 @@ from repro.baselines import (
     ServerfulConfig,
     ServerfulTrainer,
 )
-from repro.experiments.common import build_world
+from repro.api import build_world
 from repro.ml.data import MovieLensSpec, movielens_like
 from repro.ml.models import PMF
 from repro.ml.optim import InverseSqrtLR, MomentumSGD

@@ -43,7 +43,7 @@ from repro.core.capabilities import (
     render_markdown,
     supports,
 )
-from repro.experiments.common import build_world
+from repro.api import build_world
 from repro.faults import FaultProfile
 from repro.ml.data import MLPSpec, mlp_synth
 from repro.ml.models import LayeredMLP

@@ -23,8 +23,8 @@ from repro.core.significance import SignificanceFilter
 from repro.core.worker import BarrierWorkerPhases, _fresh_checkpoint
 from repro.exec.protocols import ExecutionContext, Services
 from repro.exec.sim import drive
-from repro.experiments import common
-from repro.experiments.common import build_world, make_runtime
+from repro import api
+from repro.api import build_world, make_runtime
 from repro.faults import FaultInjector, FaultProfile
 from repro.ml import ModelUpdate, ParameterSet
 from repro.ml.data import MovieLensSpec, movielens_like
@@ -262,7 +262,7 @@ def _observe(persist, spec, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BarrierWorkerPhases, "persist", persist)
         patch.setattr(compiler, "build_world", recording_build_world)
-        patch.setattr(common, "make_runtime", tracing_make_runtime)
+        patch.setattr(api, "make_runtime", tracing_make_runtime)
         payload = run_scenario_spec(spec, seed=seed)
     (world,), (runtime,) = worlds, runtimes
     return (

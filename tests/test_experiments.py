@@ -1,9 +1,8 @@
-"""Unit tests for the experiments layer: workloads, config builders."""
+"""Unit tests for the front door (repro.api): workloads, config builders."""
 
 import pytest
 
-from repro.experiments.common import build_world, mlless_config
-from repro.experiments.settings import WORKLOADS, make_workload
+from repro.api import WORKLOADS, build_world, make_workload, mlless_config
 from repro.ml.models import LogisticRegression, PMF
 from repro.ml.optim import Adam, MomentumSGD
 
@@ -14,24 +13,24 @@ def test_registry_has_the_table1_workloads_plus_mlp():
 
 def test_lr_workload_matches_table1():
     wl = make_workload("lr-criteo")
-    assert isinstance(wl.model(), LogisticRegression)
-    assert isinstance(wl.optimizer(), Adam)
+    assert isinstance(wl.make_model(), LogisticRegression)
+    assert isinstance(wl.make_optimizer(), Adam)
     assert wl.metric == "bce"
 
 
 def test_pmf_workloads_match_table1():
     for name in ("pmf-ml10m", "pmf-ml20m"):
         wl = make_workload(name)
-        model = wl.model()
+        model = wl.make_model()
         assert isinstance(model, PMF)
-        opt = wl.optimizer()
+        opt = wl.make_optimizer()
         assert isinstance(opt, MomentumSGD) and opt.nesterov
         assert wl.metric == "rmse"
 
 
 def test_ml20m_is_larger_than_ml10m():
-    m10 = make_workload("pmf-ml10m").model()
-    m20 = make_workload("pmf-ml20m").model()
+    m10 = make_workload("pmf-ml10m").make_model()
+    m20 = make_workload("pmf-ml20m").make_model()
     assert m20.n_users > m10.n_users
     assert m20.n_movies > m10.n_movies
     assert m20.rank >= m10.rank
@@ -44,9 +43,9 @@ def test_deep_target_is_stricter():
 
 
 def test_make_workload_overrides():
-    wl = make_workload("lr-criteo", target_loss=0.5, default_workers=6)
+    wl = make_workload("lr-criteo", target_loss=0.5)
     assert wl.target_loss == 0.5
-    assert wl.default_workers == 6
+    assert make_workload("lr-criteo").target_loss != 0.5
 
 
 def test_make_workload_unknown_name():

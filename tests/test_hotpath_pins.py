@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.runtime import WorkerCheckpoint
 from repro.core.significance import SignificanceFilter
-from repro.experiments.settings import make_workload
+from repro.api import make_workload
 from repro.ml.data import DenseBatch, LRBatch, PMFBatch
 from repro.ml.models import LayeredMLP
 from repro.ml.optim import InverseSqrtLR, MomentumSGD

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.experiments.report import banner, render_series, render_table
+from repro.cli import render_table
+from repro.experiments.report import banner, render_series
 
 
 # ------------------------------------------------------------------ report

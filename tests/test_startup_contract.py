@@ -38,6 +38,7 @@ def stage(name):
         "third_party": sorted(roots - set(sys.stdlib_module_names) - {"repro"}),
         "argparse": "argparse" in sys.modules,
         "cli": sorted(m for m in new if m.startswith("repro") and m.endswith("cli")),
+        "experiments": sorted(m for m in new if m.startswith("repro.experiments")),
         "boot": len(_boot),
         "count": len(new),
     }
@@ -51,8 +52,7 @@ stage("import repro.scenarios")
 import repro.cli
 stage("import repro.cli")
 
-from repro.experiments.common import build_world, mlless_config, run_mlless
-from repro.experiments.settings import make_workload
+from repro.api import build_world, make_workload, mlless_config, run_mlless
 workload = make_workload("pmf-ml10m")
 config = mlless_config(workload, n_workers=2, v=0.7, target_loss=0.0, max_steps=3, seed=0)
 result = run_mlless(config, world=build_world(seed=0))
@@ -74,8 +74,7 @@ stage("platform scenario")
 """
 
 TUNER_ON = """
-from repro.experiments.common import mlless_config
-from repro.experiments.settings import make_workload
+from repro.api import make_workload, mlless_config
 workload = make_workload("pmf-ml10m")
 dataset = workload.dataset(seed=1)
 mlless_config(workload, n_workers=2, autotune=False, dataset=dataset)
@@ -121,6 +120,8 @@ def test_import_repro_loads_neither_argparse_nor_a_cli_module():
     assert not tuner_off["import repro"]["argparse"]
     assert tuner_off["import repro"]["cli"] == []
     assert tuner_off["import repro.scenarios"]["cli"] == []
+    # the figure harness is not part of the package's front door
+    assert tuner_off["import repro.scenarios"]["experiments"] == []
 
 
 def test_import_repro_and_scenarios_stay_under_300_modules():

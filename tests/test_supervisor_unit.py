@@ -13,7 +13,7 @@ from repro.ml.optim import SGD
 
 
 def make_runtime(n_workers=4):
-    from repro.experiments.common import build_world, make_runtime as mk
+    from repro.api import build_world, make_runtime as mk
 
     dataset = movielens_like(
         MovieLensSpec(n_users=30, n_movies=20, n_ratings=1000, batch_size=250),

@@ -23,7 +23,7 @@ from repro.trace import (
     to_jsonl_lines,
 )
 from repro.cli import main as repro_main
-from repro.trace_cli import summary_text, write_run_trace
+from repro.trace.cli import summary_text, write_run_trace
 
 
 def cli_main(argv):
