@@ -336,7 +336,6 @@ def mlless_config(
     autotune: bool = False,
     target_loss: Optional[float] = None,
     max_steps: int = 1500,
-    max_time_s: float = 3600.0,
     seed: int = 3,
     dataset=None,
     autotuner_kwargs: Optional[dict] = None,
@@ -345,7 +344,6 @@ def mlless_config(
     sync: str = "bsp",
     pipeline_stages: int = 1,
     micro_batches: int = 1,
-    adaptive_kwargs: Optional[dict] = None,
 ) -> JobConfig:
     """A :class:`JobConfig` for a named workload (see :data:`WORKLOADS`).
 
@@ -353,11 +351,9 @@ def mlless_config(
     order of magnitude longer; the ratio epoch/exec-time is preserved),
     with the knee detector tuned for the scaled runs' shorter histories.
     ``sync``/``pipeline_stages``/``micro_batches`` expose the pluggable
-    sync policies and the pipeline-parallel execution scheme;
-    ``adaptive_kwargs`` overrides :class:`~repro.core.AdaptiveConfig`
-    fields when ``sync="adaptive"``.
+    sync policies and the pipeline-parallel execution scheme.
     """
-    from .core import AdaptiveConfig, AutoTunerConfig
+    from .core import AutoTunerConfig
 
     at_kwargs = {
         "epoch_s": 5.0,
@@ -367,9 +363,6 @@ def mlless_config(
         "knee_patience": 4,
     }
     at_kwargs.update(autotuner_kwargs or {})
-    adaptive = None
-    if sync == "adaptive":
-        adaptive = AdaptiveConfig(**(adaptive_kwargs or {}))
     return JobConfig(
         model=workload.make_model(),
         make_optimizer=workload.make_optimizer,
@@ -381,14 +374,12 @@ def mlless_config(
             workload.target_loss if target_loss is None else target_loss
         ),
         max_steps=max_steps,
-        max_time_s=max_time_s,
         seed=seed,
         autotuner=AutoTunerConfig(enabled=autotune, **at_kwargs),
         faults=faults,
         fault_tolerance=fault_tolerance,
         pipeline_stages=pipeline_stages,
         micro_batches=micro_batches,
-        adaptive=adaptive,
     )
 
 
@@ -397,7 +388,6 @@ def run_serverful_workload(
     n_ranks: int,
     target_loss: Optional[float] = None,
     max_steps: int = 1500,
-    max_time_s: float = 3600.0,
     seed: int = 3,
     dataset=None,
 ) -> RunResult:
@@ -416,7 +406,6 @@ def run_serverful_workload(
                 workload.target_loss if target_loss is None else target_loss
             ),
             max_steps=max_steps,
-            max_time_s=max_time_s,
             seed=seed,
         )
     )
@@ -427,7 +416,6 @@ def run_pywren_workload(
     n_workers: int,
     target_loss: Optional[float] = None,
     max_steps: int = 150,
-    max_time_s: float = 3600.0,
     seed: int = 3,
     dataset=None,
 ) -> RunResult:
@@ -446,7 +434,6 @@ def run_pywren_workload(
                 workload.target_loss if target_loss is None else target_loss
             ),
             max_steps=max_steps,
-            max_time_s=max_time_s,
             seed=seed,
         )
     )

@@ -22,7 +22,7 @@ calibrated generic-runtime constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, ClassVar, Dict, Generator, Optional
 
 import numpy as np
 
@@ -51,10 +51,12 @@ class PyWrenMLConfig:
     n_workers: int
     target_loss: Optional[float] = None
     max_steps: int = 2000
-    max_time_s: float = 3600.0
     seed: int = 0
     calibration: Calibration = DEFAULT_CALIBRATION
-    memory_mb: int = 2048
+
+    #: give up after this much simulated time, seconds (a constant: no run
+    #: varies it)
+    max_time_s: ClassVar[float] = 3600.0
 
     def __post_init__(self):
         if self.n_workers < 1:
@@ -159,17 +161,9 @@ class PyWrenMLTrainer:
 
     def run_process(self, config: PyWrenMLConfig) -> Generator:
         if not self.platform.is_registered("pywren-ml-map"):
+            self.platform.register(FunctionSpec("pywren-ml-map", _grad_map_handler))
             self.platform.register(
-                FunctionSpec(
-                    "pywren-ml-map", _grad_map_handler, memory_mb=config.memory_mb
-                )
-            )
-            self.platform.register(
-                FunctionSpec(
-                    "pywren-ml-reduce",
-                    _grad_reduce_handler,
-                    memory_mb=config.memory_mb,
-                )
+                FunctionSpec("pywren-ml-reduce", _grad_reduce_handler)
             )
 
         monitor = Monitor()

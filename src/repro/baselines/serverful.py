@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional
+from typing import Callable, ClassVar, Generator, List, Optional
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
 from ..core.history import RunResult
@@ -33,7 +33,7 @@ from ..ml.parameters import ModelUpdate
 from ..pricing import CostMeter, PRICING
 from ..sim import Environment, Monitor, RandomStreams
 from ..storage import ObjectStore
-from ..vm import ring_allreduce_time, tree_allreduce_time
+from ..vm import ring_allreduce_time
 from ..vm.instance import VMInstance
 
 __all__ = ["ServerfulConfig", "ServerfulTrainer"]
@@ -51,17 +51,18 @@ class ServerfulConfig:
     n_ranks: int
     target_loss: Optional[float] = None
     max_steps: int = 5000
-    max_time_s: float = 3600.0
     seed: int = 0
     calibration: Calibration = DEFAULT_CALIBRATION
-    instance_type: str = "B1.4x8"
-    collective: str = "ring"
+
+    #: give up after this much simulated time, seconds (a constant: no run
+    #: varies it)
+    max_time_s: ClassVar[float] = 3600.0
+    #: the paper's VM type (§6.1, Table 2)
+    instance_type: ClassVar[str] = "B1.4x8"
 
     def __post_init__(self):
         if self.n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {self.n_ranks}")
-        if self.collective not in ("ring", "tree"):
-            raise ValueError(f"unknown collective {self.collective!r}")
         if self.n_ranks > len(self.dataset):
             raise ValueError(
                 f"{self.n_ranks} ranks but only {len(self.dataset)} batches"
@@ -129,9 +130,6 @@ class ServerfulTrainer:
         calib = config.calibration
         nic_bps = instances[0].itype.nic_bps
         effective_bw = nic_bps / min(config.ranks_per_vm, config.n_ranks)
-        allreduce_time = (
-            ring_allreduce_time if config.collective == "ring" else tree_allreduce_time
-        )
 
         converged = False
         final_loss = None
@@ -179,7 +177,7 @@ class ServerfulTrainer:
             # framework moves), with ranks sharing each VM's NIC.
             if config.n_ranks > 1:
                 yield self.env.timeout(
-                    allreduce_time(
+                    ring_allreduce_time(
                         config.model.dense_gradient_bytes(),
                         config.n_ranks,
                         effective_bw,

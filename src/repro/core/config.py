@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Optional, Tuple
+from typing import Callable, ClassVar, FrozenSet, Optional, Tuple
 
 from ..calibration import Calibration, DEFAULT_CALIBRATION
 from ..faults import FaultProfile
@@ -14,9 +14,6 @@ from . import capabilities as cap
 from .adaptive import AdaptiveConfig
 
 __all__ = ["AutoTunerConfig", "JobConfig", "pipeline_shape_error"]
-
-#: default per-step barrier timeout when fault tolerance is on, seconds
-DEFAULT_BARRIER_TIMEOUT_S = 15.0
 
 
 @dataclass(frozen=True)
@@ -44,8 +41,9 @@ class AutoTunerConfig:
     knee_slope_threshold: float = 0.2
     #: knee detector: consecutive flat steps required
     knee_patience: int = 5
-    #: EWMA smoothing factor applied to losses before fitting
-    ewma_alpha: float = 0.3
+    #: EWMA smoothing factor applied to losses before fitting (a constant:
+    #: no run varies it)
+    ewma_alpha: ClassVar[float] = 0.3
     #: ablation switch: scale in immediately, ignoring the knee gate
     ignore_knee_gate: bool = False
     #: curve family for the slow region: "quadratic" (Eq. 3, default) or
@@ -113,18 +111,12 @@ class JobConfig:
     #: stop when the (mean per-batch) training loss reaches this value
     target_loss: Optional[float] = None
     max_steps: int = 5000
-    #: give up after this much simulated time, seconds
-    max_time_s: float = 3600.0
     seed: int = 0
     autotuner: AutoTunerConfig = field(default_factory=AutoTunerConfig)
     calibration: Calibration = DEFAULT_CALIBRATION
-    worker_memory_mb: int = 2048
     #: reintegrate an evicted worker's replica by model averaging (the
     #: paper's eviction policy for v > 0); ablation switch
     reintegrate_on_evict: bool = True
-    #: simulated-time margin before the FaaS duration cap at which a
-    #: worker checkpoints its state and is relaunched as a fresh function
-    relaunch_margin_s: float = 30.0
     #: optional factory for an alternative update filter (ablations):
     #: called with the parameter shapes dict; None selects the paper's
     #: SignificanceFilter(significance_v)
@@ -136,22 +128,6 @@ class JobConfig:
     #: force the fault-tolerance machinery on/off; None = on iff ``faults``
     #: can actually inject something
     fault_tolerance: Optional[bool] = None
-    #: checkpoint worker/supervisor state every N barriers (FT mode);
-    #: None = every barrier when FT is on
-    checkpoint_every_steps: Optional[int] = None
-    #: supervisor barrier timeout before it suspects lost workers or
-    #: messages; None = DEFAULT_BARRIER_TIMEOUT_S when FT is on
-    barrier_timeout_s: Optional[float] = None
-    #: driver-level relaunch budget per role (capped exponential backoff)
-    max_invoke_retries: int = 4
-    retry_backoff_base_s: float = 0.25
-    retry_backoff_cap_s: float = 4.0
-    #: barrier timeouts tolerated per step before the supervisor abandons
-    #: the missing workers and shrinks the pool
-    max_resyncs_per_step: int = 8
-    #: how long a worker polls for a departed peer's replica before giving
-    #: up (FT mode only — the peer may have crashed before storing it)
-    reintegrate_deadline_s: float = 60.0
     #: model-parallel pipeline depth; 1 = ordinary data parallelism, > 1
     #: partitions the model's layers across ``pipeline_stages`` stage
     #: functions (n_workers must equal pipeline_stages) that forward
@@ -162,10 +138,32 @@ class JobConfig:
     #: controller knobs for sync == "adaptive"; None = AdaptiveConfig()
     adaptive: Optional[AdaptiveConfig] = None
 
+    # -- constants -----------------------------------------------------------
+    # Every run uses these values, so they are not fields; a test that needs
+    # another one patches the class attribute.
+    #: give up after this much simulated time, seconds
+    max_time_s: ClassVar[float] = 3600.0
+    #: simulated-time margin before the FaaS duration cap at which a
+    #: function checkpoints its state and is relaunched as a fresh one
+    relaunch_margin_s: ClassVar[float] = 30.0
+    #: supervisor barrier timeout (FT mode) before it suspects lost workers
+    #: or messages, seconds
+    barrier_timeout_s: ClassVar[float] = 15.0
+    #: driver-level relaunch budget per role (FT mode), with exponential
+    #: backoff from ``retry_backoff_base_s`` capped at ``retry_backoff_cap_s``
+    max_invoke_retries: ClassVar[int] = 4
+    retry_backoff_base_s: ClassVar[float] = 0.25
+    retry_backoff_cap_s: ClassVar[float] = 4.0
+    #: barrier timeouts tolerated per step before the supervisor abandons
+    #: the missing workers and shrinks the pool
+    max_resyncs_per_step: ClassVar[int] = 8
+    #: how long a worker polls for a departed peer's replica before giving
+    #: up (FT mode only — the peer may have crashed before storing it)
+    reintegrate_deadline_s: ClassVar[float] = 60.0
+
     #: field -> its inclusive lower bound
     _AT_LEAST = dict(n_workers=1, significance_v=0, max_steps=1, ssp_staleness=0,
-                     max_invoke_retries=0, max_resyncs_per_step=1, pipeline_stages=1,
-                     micro_batches=1)
+                     pipeline_stages=1, micro_batches=1)
 
     def __post_init__(self):
         for name, low in self._AT_LEAST.items():
@@ -178,11 +176,6 @@ class JobConfig:
             )
         if self.sync not in ("bsp", "ssp", "adaptive"):
             raise ValueError(f"unknown sync protocol {self.sync!r}")
-        if self.reintegrate_deadline_s <= 0:
-            raise ValueError(
-                "reintegrate_deadline_s must be > 0, got "
-                f"{self.reintegrate_deadline_s}"
-            )
         cap.check(self.features)
         if self.pipeline_stages > 1:
             problem = pipeline_shape_error(self.model, self.n_workers, self.pipeline_stages)
@@ -219,15 +212,4 @@ class JobConfig:
     @property
     def barrier_timeout(self) -> Optional[float]:
         """Supervisor consume timeout, or None when FT is off."""
-        if not self.ft_enabled:
-            return None
-        if self.barrier_timeout_s is not None:
-            return self.barrier_timeout_s
-        return DEFAULT_BARRIER_TIMEOUT_S
-
-    @property
-    def checkpoint_every(self) -> Optional[int]:
-        """Barrier-checkpoint period, or None when FT is off."""
-        if not self.ft_enabled:
-            return None
-        return self.checkpoint_every_steps or 1
+        return self.barrier_timeout_s if self.ft_enabled else None

@@ -173,11 +173,7 @@ class MLLessDriver:
         config = self.runtime.config
         for name, loop_fn in zip(self._function_names(), role_loops(config)):
             if not self.platform.is_registered(name):
-                self.platform.register(
-                    FunctionSpec(
-                        name, as_sim_handler(loop_fn), memory_mb=config.worker_memory_mb
-                    )
-                )
+                self.platform.register(FunctionSpec(name, as_sim_handler(loop_fn)))
 
     def _declare_channels(self) -> None:
         runtime = self.runtime

@@ -36,6 +36,7 @@ from . import messages
 from .policies import SCALE_CONFIGURED, SyncPolicy
 from .runtime import JobRuntime, WorkerCheckpoint
 from .step_machine import StepSpans
+from .supervisor import _stop_condition
 from .worker import _fresh_checkpoint
 
 __all__ = ["GossipWorkerPhases"]
@@ -265,14 +266,9 @@ def gossip_supervisor_epoch(
             del state["reports"][next_step]
             state["completed"] = next_step
 
-            stop = False
-            reason = ""
-            if config.target_loss is not None and mean_loss <= config.target_loss:
-                stop, reason = True, "target"
-            elif next_step >= config.max_steps:
-                stop, reason = True, "max_steps"
-            elif now - state["job_started_at"] >= config.max_time_s:
-                stop, reason = True, "max_time"
+            stop, reason = _stop_condition(
+                config, state["job_started_at"], next_step, mean_loss, now
+            )
             if stop:
                 yield sv.broadcast(messages.control("stop"))
                 return {

@@ -245,7 +245,7 @@ def _maybe_release_barrier(
     state.last_barrier_time = now
     state.scheduler.observe(step, now, mean_loss)
 
-    stop, reason = _stop_condition(config, state, step, mean_loss, now)
+    stop, reason = _stop_condition(config, state.job_started_at, step, mean_loss, now)
     evict = None
     if not stop and state.pending_eviction is None:
         decision = state.scheduler.should_evict(now)
@@ -344,8 +344,7 @@ def _maybe_release_barrier(
         state.final_loss = mean_loss
         return True
 
-    ckpt_every = config.checkpoint_every
-    if ckpt_every and step % ckpt_every == 0:
+    if config.ft_enabled:
         try:
             yield sv.kv_set(runtime.supervisor_checkpoint_key, state.snapshot())
         except StorageError:
@@ -405,14 +404,16 @@ def _handle_barrier_timeout(
     return (yield from _maybe_release_barrier(ectx, runtime, state, step))
 
 
-def _stop_condition(config, state, step, mean_loss, now):
+def _stop_condition(config, job_started_at, step, mean_loss, now):
+    """``(stop, reason)`` after ``step``: target, then max_steps, then max_time.
+
+    The one stop rule of both supervisor families (barrier and gossip).
+    """
     if config.target_loss is not None and mean_loss <= config.target_loss:
         return True, "target"
     if step >= config.max_steps:
         return True, "max_steps"
-    if state.job_started_at is not None and (
-        now - state.job_started_at >= config.max_time_s
-    ):
+    if now - job_started_at >= config.max_time_s:
         return True, "max_time"
     return False, ""
 

@@ -265,14 +265,14 @@ class BarrierWorkerPhases:
         return None
 
     def persist(self, state: WorkerCheckpoint, t: int) -> Machine:
-        """Periodic FT checkpoint; relaunch near the duration cap."""
+        """FT checkpoint at every barrier; relaunch near the duration cap."""
         ectx = self.ectx
         runtime = self.runtime
         config = runtime.config
         sv = ectx.services
         worker_id = state.worker_id
 
-        # FT: periodic barrier checkpoint so a crashed activation resumes
+        # FT: a checkpoint at every barrier so a crashed activation resumes
         # from the last completed step instead of from scratch.  The KV
         # store holds objects by reference, so the stored checkpoint and
         # the live replica must not share buffers once the worker moves
@@ -281,8 +281,7 @@ class BarrierWorkerPhases:
         # only once the store owns them does the live replica continue on
         # copies (two model-sized copies of the worker alive, not three).
         checkpointed = False
-        ckpt_every = config.checkpoint_every
-        if ckpt_every and t % ckpt_every == 0:
+        if config.ft_enabled:
             stored = copy.copy(state)
             try:
                 yield sv.kv_set(runtime.checkpoint_key(worker_id), stored)

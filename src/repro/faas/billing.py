@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 __all__ = ["ActivationRecord", "FaaSBilling"]
 
@@ -77,12 +77,6 @@ class FaaSBilling:
 
     def total_gb_seconds(self) -> float:
         return sum(r.gb_seconds for r in self.records)
-
-    def cost_by_function(self) -> Dict[str, float]:
-        costs: Dict[str, float] = {}
-        for r in self.records:
-            costs[r.function] = costs.get(r.function, 0.0) + r.cost(self.rate_per_gb_s)
-        return costs
 
     def cost_up_to(self, time: float) -> float:
         """Cost accrued by simulated ``time``, counting live activations.

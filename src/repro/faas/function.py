@@ -74,6 +74,7 @@ class FunctionSpec:
 
     name: str
     handler: Callable[["InvocationContext", Any], Generator]
+    #: the paper's functions are 2 GB (§6.1); MLLess and PyWren roles use this
     memory_mb: int = 2048
 
     def validate(self, limits: FaaSLimits) -> None:

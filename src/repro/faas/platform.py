@@ -389,12 +389,6 @@ class FaaSPlatform:
         return reclaimed
 
     # -- convenience ----------------------------------------------------
-    def invoke_and_wait(self, name: str, payload: Any = None) -> Generator:
-        """Process generator: invoke and return the handler's result."""
-        activation = self.invoke(name, payload)
-        yield activation.process
-        return activation.result()
-
     def map(self, name: str, payloads: List[Any]) -> List[Activation]:
         """Fan out one activation per payload (PyWren-style map)."""
         return [self.invoke(name, p) for p in payloads]

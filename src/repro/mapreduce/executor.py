@@ -6,8 +6,10 @@ the object store — inputs staged as objects, outputs written back as
 objects.  No function-to-function communication whatsoever, which is
 exactly why the PyWren ML baseline is so slow in Fig. 6.
 
-Used for (a) dataset preparation (the paper normalizes Criteo with two
-chained map-reduce jobs) and (b) the non-specialized ML training baseline.
+Used for dataset preparation (the paper normalizes Criteo with two chained
+map-reduce jobs).  The non-specialized ML training baseline,
+:mod:`repro.baselines.pywren_ml`, follows the same model with its own map
+and reduce handlers and does not run on this executor.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class PyWrenExecutor:
         platform: FaaSPlatform,
         cos: ObjectStore,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        memory_mb: int = 2048,
     ):
         self.platform = platform
         self.cos = cos
@@ -69,13 +70,9 @@ class PyWrenExecutor:
         self.cos.create_bucket(_SCRATCH_BUCKET)
         self._job_counter = 0
         if not platform.is_registered("pywren-map"):
-            platform.register(
-                FunctionSpec("pywren-map", _map_shim, memory_mb=memory_mb)
-            )
+            platform.register(FunctionSpec("pywren-map", _map_shim))
         if not platform.is_registered("pywren-reduce"):
-            platform.register(
-                FunctionSpec("pywren-reduce", _reduce_shim, memory_mb=memory_mb)
-            )
+            platform.register(FunctionSpec("pywren-reduce", _reduce_shim))
 
     def _next_job_id(self) -> str:
         self._job_counter += 1

@@ -106,16 +106,6 @@ class ParameterSet:
             tensor += other[name]
             tensor *= 0.5
 
-    def distance_to(self, other: "ParameterSet") -> float:
-        """L2 distance across all tensors (replica-divergence measure)."""
-        if other.shapes() != self.shapes():
-            raise ValueError("parameter shape mismatch")
-        total = 0.0
-        for name, tensor in self._tensors.items():
-            diff = tensor - other[name]
-            total += float(np.dot(diff.ravel(), diff.ravel()))
-        return float(np.sqrt(total))
-
     def __repr__(self) -> str:
         shapes = ", ".join(f"{n}{t.shape}" for n, t in self)
         return f"<ParameterSet {shapes}>"

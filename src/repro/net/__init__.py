@@ -5,13 +5,11 @@ from .latency import (
     ConstantLatency,
     LatencyModel,
     LognormalLatency,
-    UniformLatency,
 )
 
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "LognormalLatency",
     "Link",
     "Nic",

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "LognormalLatency",
 ]
 
@@ -49,24 +48,6 @@ class ConstantLatency(LatencyModel):
 
     def mean(self) -> float:
         return self.seconds
-
-
-@dataclass(frozen=True)
-class UniformLatency(LatencyModel):
-    """Uniform jitter in ``[low, high]`` seconds."""
-
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not 0 <= self.low <= self.high:
-            raise ValueError(f"need 0 <= low <= high, got [{self.low}, {self.high}]")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
 
 
 @dataclass(frozen=True)

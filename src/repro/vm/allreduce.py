@@ -1,20 +1,17 @@
-"""Collective-communication timing models (Gloo stand-in).
+"""Collective-communication timing model (Gloo stand-in).
 
 The serverful baseline exchanges gradients with **ring all-reduce**: each
 of P nodes sends/receives ``2 (P-1)/P`` of the buffer, in ``2 (P-1)``
-latency-bound phases.  A tree all-reduce is included for completeness and
-for the ablation comparing collective choices.
+latency-bound phases.
 
-These functions return *wall time* for one collective; the actual numeric
+The function returns *wall time* for one collective; the actual numeric
 reduction is done by the caller in numpy (the simulated cost and the real
 arithmetic are deliberately decoupled — see DESIGN.md).
 """
 
 from __future__ import annotations
 
-import math
-
-__all__ = ["ring_allreduce_time", "tree_allreduce_time"]
+__all__ = ["ring_allreduce_time"]
 
 
 def _check(size_bytes: float, nodes: int, bandwidth_bps: float, latency_s: float):
@@ -47,23 +44,3 @@ def ring_allreduce_time(
     per_step_bytes = size_bytes / nodes
     per_step_time = latency_s + (per_step_bytes * 8.0) / bandwidth_bps
     return steps * per_step_time
-
-
-def tree_allreduce_time(
-    size_bytes: float,
-    nodes: int,
-    bandwidth_bps: float,
-    latency_s: float = 50e-6,
-) -> float:
-    """Wall time of a binary-tree reduce + broadcast.
-
-    Latency-optimal (``O(log P)`` steps) but each step moves the whole
-    buffer: ``2 ceil(log2 P) (alpha + S/B)``.
-    """
-    _check(size_bytes, nodes, bandwidth_bps, latency_s)
-    if nodes == 1:
-        return 0.0
-    steps = 2 * math.ceil(math.log2(nodes))
-    per_step_time = latency_s + (size_bytes * 8.0) / bandwidth_bps
-    return steps * per_step_time
-

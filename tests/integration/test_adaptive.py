@@ -6,10 +6,13 @@ quiet — while an injected partial-pool straggler profile produces
 exactly the sustained skew the SMLT-style policy is built to detect.
 """
 
+import dataclasses
+
 import numpy as np
 
 from repro import run_mlless
 from repro.api import WORKLOADS, mlless_config
+from repro.core import AdaptiveConfig
 from repro.faults import FaultProfile
 
 
@@ -51,9 +54,9 @@ def test_straggler_skew_triggers_the_sync_switch():
 
 
 def test_adaptive_evicts_persistent_straggler_before_switching():
-    config = adaptive_config(
-        straggler_profile(),
-        adaptive_kwargs={"patience": 10, "evict_patience": 3},
+    config = dataclasses.replace(
+        adaptive_config(straggler_profile()),
+        adaptive=AdaptiveConfig(patience=10, evict_patience=3),
     )
     result = run_mlless(config)
     evictions = result.monitor.series("adaptive_evict")

@@ -78,10 +78,10 @@ def test_max_steps_cap_respected(small_dataset):
     assert not result.converged
 
 
-def test_max_time_cap_respected(small_dataset):
+def test_max_time_cap_respected(small_dataset, monkeypatch):
+    monkeypatch.setattr(JobConfig, "max_time_s", 3.0)
     result = run_mlless(
-        config_for(small_dataset, target_loss=-1.0, max_steps=10_000,
-                   max_time_s=3.0)
+        config_for(small_dataset, target_loss=-1.0, max_steps=10_000)
     )
     assert not result.converged
     assert result.exec_time < 60.0

@@ -8,8 +8,9 @@ from repro.sim import RandomStreams
 from .conftest import make_model, make_optimizer
 
 
-def run_with_duration_cap(dataset, cap_s, margin_s, max_steps=120):
+def run_with_duration_cap(monkeypatch, dataset, cap_s, margin_s, max_steps=120):
     """Run MLLess on a platform whose functions die after ``cap_s``."""
+    monkeypatch.setattr(JobConfig, "relaunch_margin_s", margin_s)
     world = build_world(seed=11)
     # Replace the platform with one enforcing a short duration cap.
     world.platform = FaaSPlatform(
@@ -27,15 +28,16 @@ def run_with_duration_cap(dataset, cap_s, margin_s, max_steps=120):
         target_loss=-1.0,
         max_steps=max_steps,
         seed=11,
-        relaunch_margin_s=margin_s,
     )
     return world, run_mlless(config, world=world)
 
 
-def test_run_completes_across_relaunches(small_dataset):
+def test_run_completes_across_relaunches(small_dataset, monkeypatch):
     # The run outlives the 6 s cap several times over; checkpointing at a
     # 2 s margin must carry it through.
-    world, result = run_with_duration_cap(small_dataset, cap_s=6.0, margin_s=2.0)
+    world, result = run_with_duration_cap(
+        monkeypatch, small_dataset, cap_s=6.0, margin_s=2.0
+    )
     assert result.total_steps == 120
     # Multiple activations per role prove relaunches happened.
     worker_acts = [
@@ -44,16 +46,18 @@ def test_run_completes_across_relaunches(small_dataset):
     assert len(worker_acts) > 3
 
 
-def test_no_activation_hits_the_cap(small_dataset):
-    world, _result = run_with_duration_cap(small_dataset, cap_s=6.0, margin_s=2.0)
+def test_no_activation_hits_the_cap(small_dataset, monkeypatch):
+    world, _result = run_with_duration_cap(
+        monkeypatch, small_dataset, cap_s=6.0, margin_s=2.0
+    )
     assert all(r.ok for r in world.platform.billing.records)
 
 
-def test_relaunch_preserves_loss_trajectory(small_dataset):
+def test_relaunch_preserves_loss_trajectory(small_dataset, monkeypatch):
     # A run with relaunches must produce the same loss-by-step sequence as
     # an uncapped run (checkpointing is transparent to the algorithm).
     _w1, capped = run_with_duration_cap(
-        small_dataset, cap_s=6.0, margin_s=2.0, max_steps=60
+        monkeypatch, small_dataset, cap_s=6.0, margin_s=2.0, max_steps=60
     )
     world = build_world(seed=11)
     config = JobConfig(
@@ -76,11 +80,11 @@ def test_relaunch_preserves_loss_trajectory(small_dataset):
     )
 
 
-def test_relaunch_overhead_is_modest(small_dataset):
+def test_relaunch_overhead_is_modest(small_dataset, monkeypatch):
     # Checkpoint/relaunch adds activations but only small wall-time
     # overhead (a KV write + a warm dispatch each time).
     _w1, capped = run_with_duration_cap(
-        small_dataset, cap_s=6.0, margin_s=2.0, max_steps=60
+        monkeypatch, small_dataset, cap_s=6.0, margin_s=2.0, max_steps=60
     )
     world = build_world(seed=11)
     config = JobConfig(

@@ -96,28 +96,18 @@ def test_serverful_deterministic(dataset):
     assert r1.exec_time == r2.exec_time
 
 
-def test_serverful_tree_collective_slower_for_large_models(dataset):
-    _w1, ring = serverful(dataset, collective="ring", max_steps=10)
-    _w2, tree = serverful(dataset, collective="tree", max_steps=10)
-    # Identical arithmetic, different collective cost model.
-    np.testing.assert_array_equal(ring.losses()[1], tree.losses()[1])
-    assert tree.exec_time >= ring.exec_time
-
-
 def test_serverful_validates(dataset):
     with pytest.raises(ValueError):
         ServerfulConfig(model=model(), make_optimizer=optimizer,
                         dataset=dataset, n_ranks=0)
     with pytest.raises(ValueError):
         ServerfulConfig(model=model(), make_optimizer=optimizer,
-                        dataset=dataset, n_ranks=2, collective="mesh")
-    with pytest.raises(ValueError):
-        ServerfulConfig(model=model(), make_optimizer=optimizer,
                         dataset=dataset, n_ranks=10_000)
 
 
-def test_serverful_max_time_cap(dataset):
-    _world, result = serverful(dataset, max_steps=10_000, max_time_s=10.0)
+def test_serverful_max_time_cap(dataset, monkeypatch):
+    monkeypatch.setattr(ServerfulConfig, "max_time_s", 10.0)
+    _world, result = serverful(dataset, max_steps=10_000)
     assert not result.converged
     assert result.exec_time < 120
 

@@ -229,8 +229,7 @@ def naive_persist(self, state, t):
     worker_id = state.worker_id
 
     checkpointed = False
-    ckpt_every = config.checkpoint_every
-    if ckpt_every and t % ckpt_every == 0:
+    if config.ft_enabled:
         try:
             yield sv.kv_set(runtime.checkpoint_key(worker_id), state.snapshot())
             checkpointed = True

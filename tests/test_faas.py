@@ -91,7 +91,6 @@ def test_billing_aggregates():
         )
     assert billing.total_cost() == pytest.approx(3 * 10 * 3.4e-5)
     assert billing.total_gb_seconds() == pytest.approx(60.0)
-    assert billing.cost_by_function() == {"f": pytest.approx(3 * 10 * 3.4e-5)}
 
 
 def test_billing_cost_up_to_partial_activation():
@@ -239,23 +238,6 @@ def test_concurrency_cap_enforced():
     platform.invoke("f")
     with pytest.raises(RuntimeError, match="concurrency"):
         platform.invoke("f")
-
-
-def test_invoke_and_wait_helper():
-    env, platform = make_platform()
-
-    def handler(ctx, payload):
-        yield from ctx.compute(0.01)
-        return payload + 1
-
-    platform.register(FunctionSpec("inc", handler))
-
-    def proc():
-        return (yield from platform.invoke_and_wait("inc", 1))
-
-    p = env.process(proc())
-    env.run()
-    assert p.value == 2
 
 
 def test_map_fans_out():

@@ -38,6 +38,12 @@ def make_config(faults=None, seed=11, target_loss=0.74, **kwargs):
     return JobConfig(**defaults)
 
 
+def set_timings(monkeypatch, **constants):
+    """Patch JobConfig's fault-tolerance constants for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(JobConfig, name, value)
+
+
 CRASHY = FaultProfile(
     name="crashy-test",
     crash_rate=0.5,
@@ -67,8 +73,9 @@ def test_disabled_injector_is_a_strict_noop():
 
 
 # -------------------------------------------------------- crash + recovery
-def test_crash_recovery_converges_with_nonzero_counts():
-    result = run_mlless(make_config(faults=CRASHY, barrier_timeout_s=5.0))
+def test_crash_recovery_converges_with_nonzero_counts(monkeypatch):
+    set_timings(monkeypatch, barrier_timeout_s=5.0)
+    result = run_mlless(make_config(faults=CRASHY))
     assert result.converged
     assert result.extras["faults_injected"] > 0
     assert result.extras["faults_recovered"] > 0
@@ -77,27 +84,28 @@ def test_crash_recovery_converges_with_nonzero_counts():
     assert result.extras["recovery.worker_resumed"] > 0
 
 
-def test_crash_recovery_is_deterministic():
-    config_a = make_config(faults=CRASHY, barrier_timeout_s=5.0)
-    config_b = make_config(faults=CRASHY, barrier_timeout_s=5.0)
+def test_crash_recovery_is_deterministic(monkeypatch):
+    set_timings(monkeypatch, barrier_timeout_s=5.0)
+    config_a = make_config(faults=CRASHY)
+    config_b = make_config(faults=CRASHY)
     assert fingerprint(run_mlless(config_a)) == fingerprint(run_mlless(config_b))
 
 
-def test_different_seed_different_fault_schedule():
-    a = run_mlless(make_config(faults=CRASHY, seed=11, barrier_timeout_s=5.0))
-    b = run_mlless(make_config(faults=CRASHY, seed=12, barrier_timeout_s=5.0))
+def test_different_seed_different_fault_schedule(monkeypatch):
+    set_timings(monkeypatch, barrier_timeout_s=5.0)
+    a = run_mlless(make_config(faults=CRASHY, seed=11))
+    b = run_mlless(make_config(faults=CRASHY, seed=12))
     assert fingerprint(a) != fingerprint(b)
 
 
 # ------------------------------------------------------------ lossy queues
-def test_lossy_queue_recovery():
+def test_lossy_queue_recovery(monkeypatch):
     lossy = FaultProfile(
         name="lossy-test", message_loss_rate=0.05,
         message_duplication_rate=0.05,
     )
-    result = run_mlless(
-        make_config(faults=lossy, barrier_timeout_s=3.0)
-    )
+    set_timings(monkeypatch, barrier_timeout_s=3.0)
+    result = run_mlless(make_config(faults=lossy))
     assert result.converged
     assert result.extras["fault.message_loss"] > 0
     # Lost reports/releases were recovered via resync round-trips.
@@ -105,13 +113,14 @@ def test_lossy_queue_recovery():
 
 
 # ------------------------------------------------------------ stragglers
-def test_straggler_profile_converges_and_costs_more():
+def test_straggler_profile_converges_and_costs_more(monkeypatch):
     slow = FaultProfile(
         name="straggler-test", straggler_rate=0.4,
         straggler_factor=(2.0, 3.0),
     )
     clean = run_mlless(make_config(faults=None))
-    result = run_mlless(make_config(faults=slow, barrier_timeout_s=30.0))
+    set_timings(monkeypatch, barrier_timeout_s=30.0)
+    result = run_mlless(make_config(faults=slow))
     assert result.converged
     assert result.extras["fault.straggler"] > 0
     # Stragglers burn more GB-seconds to reach the same target.
@@ -120,20 +129,15 @@ def test_straggler_profile_converges_and_costs_more():
 
 # ------------------------------------------------------------- abandonment
 @pytest.mark.slow
-def test_hopeless_workers_are_abandoned_not_hung():
+def test_hopeless_workers_are_abandoned_not_hung(monkeypatch):
     # Every worker activation crashes almost immediately and retries are
     # scarce: the job must terminate (abandoned), not hang at a barrier.
     hopeless = FaultProfile(
         name="hopeless-test", crash_rate=1.0, crash_window_s=(0.05, 0.2),
     )
-    result = run_mlless(
-        make_config(
-            faults=hopeless,
-            barrier_timeout_s=2.0,
-            max_invoke_retries=1,
-            max_resyncs_per_step=2,
-            max_steps=30,
-        )
+    set_timings(
+        monkeypatch, barrier_timeout_s=2.0, max_invoke_retries=1, max_resyncs_per_step=2
     )
+    result = run_mlless(make_config(faults=hopeless, max_steps=30))
     assert not result.converged
     assert result.extras["recovery.worker_abandoned"] > 0

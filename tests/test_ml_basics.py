@@ -124,13 +124,6 @@ def test_parameterset_average_shape_mismatch_rejected():
         p.average_with(q)
 
 
-def test_parameterset_distance():
-    p = ParameterSet({"w": np.array([0.0, 3.0]), "b": np.array([4.0])})
-    q = ParameterSet({"w": np.zeros(2), "b": np.zeros(1)})
-    assert p.distance_to(q) == pytest.approx(5.0)
-    assert p.distance_to(p) == 0.0
-
-
 # ------------------------------------------------------------- ModelUpdate
 def test_model_update_iteration_sorted():
     u = ModelUpdate(

@@ -8,7 +8,6 @@ from repro.net import (
     Link,
     LognormalLatency,
     Nic,
-    UniformLatency,
     transfer_time,
 )
 from repro.sim import Environment
@@ -25,19 +24,6 @@ def test_constant_latency():
 def test_constant_latency_negative_rejected():
     with pytest.raises(ValueError):
         ConstantLatency(-0.1)
-
-
-def test_uniform_latency_in_range():
-    model = UniformLatency(0.01, 0.02)
-    rng = np.random.default_rng(0)
-    samples = [model.sample(rng) for _ in range(200)]
-    assert all(0.01 <= s <= 0.02 for s in samples)
-    assert model.mean() == pytest.approx(0.015)
-
-
-def test_uniform_latency_validates_bounds():
-    with pytest.raises(ValueError):
-        UniformLatency(0.02, 0.01)
 
 
 def test_lognormal_latency_median_and_cap():

@@ -61,43 +61,28 @@ def test_pick_victim_no_candidates():
 
 # ----------------------------------------------------------- stop condition
 def test_stop_on_target():
-    runtime = make_runtime()
-    config = runtime.config
-    state = SupervisorState(runtime)
-    state.job_started_at = 0.0
+    config = make_runtime().config
     config.target_loss = 0.5
-    stop, reason = _stop_condition(config, state, step=1, mean_loss=0.4, now=1.0)
+    stop, reason = _stop_condition(config, 0.0, step=1, mean_loss=0.4, now=1.0)
     assert stop and reason == "target"
 
 
 def test_stop_on_max_steps():
-    runtime = make_runtime()
-    state = SupervisorState(runtime)
-    state.job_started_at = 0.0
-    stop, reason = _stop_condition(
-        runtime.config, state, step=10, mean_loss=9.9, now=1.0
-    )
+    config = make_runtime().config
+    stop, reason = _stop_condition(config, 0.0, step=10, mean_loss=9.9, now=1.0)
     assert stop and reason == "max_steps"
 
 
-def test_stop_on_max_time():
-    runtime = make_runtime()
-    runtime.config.max_time_s = 100.0
-    state = SupervisorState(runtime)
-    state.job_started_at = 0.0
-    stop, reason = _stop_condition(
-        runtime.config, state, step=1, mean_loss=9.9, now=500.0
-    )
+def test_stop_on_max_time(monkeypatch):
+    monkeypatch.setattr(JobConfig, "max_time_s", 100.0)
+    config = make_runtime().config
+    stop, reason = _stop_condition(config, 0.0, step=1, mean_loss=9.9, now=500.0)
     assert stop and reason == "max_time"
 
 
 def test_no_stop_mid_run():
-    runtime = make_runtime()
-    state = SupervisorState(runtime)
-    state.job_started_at = 0.0
-    stop, _reason = _stop_condition(
-        runtime.config, state, step=1, mean_loss=9.9, now=1.0
-    )
+    config = make_runtime().config
+    stop, _reason = _stop_condition(config, 0.0, step=1, mean_loss=9.9, now=1.0)
     assert not stop
 
 

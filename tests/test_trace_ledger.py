@@ -226,9 +226,11 @@ def test_ledger_reconciles_under_random_faults(profile, seed):
         seed=seed,
         max_steps=8,
         fault_tolerance=True,
-        barrier_timeout_s=5.0,
     )
-    _result, tracer, billing = run_traced(config)
+    # A context, not the fixture: Hypothesis reruns the body per example.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(JobConfig, "barrier_timeout_s", 5.0)
+        _result, tracer, billing = run_traced(config)
     ledger = CostLedger.from_trace(tracer, billing)
     assert ledger.total_cost() == billing.total_cost()
     rec = ledger.reconcile()

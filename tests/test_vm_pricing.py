@@ -10,7 +10,7 @@ from repro.pricing import (
     vm_price_per_second,
 )
 from repro.sim import Environment, RandomStreams
-from repro.vm import VMInstance, ring_allreduce_time, tree_allreduce_time
+from repro.vm import VMInstance, ring_allreduce_time
 
 
 # ----------------------------------------------------------------- pricing
@@ -97,17 +97,6 @@ def test_ring_bandwidth_term_shrinks_with_nodes():
     t4 = ring_allreduce_time(1e8, 4, 1e9, 0.0)
     t64 = ring_allreduce_time(1e8, 64, 1e9, 0.0)
     assert t64 / t4 == pytest.approx((2 * 63 / 64) / (2 * 3 / 4), rel=1e-6)
-
-
-def test_tree_allreduce_log_steps():
-    size, bw, alpha = 1e6, 1e9, 1e-4
-    t8 = tree_allreduce_time(size, 8, bw, alpha)
-    expected = 2 * 3 * (alpha + size * 8 / bw)
-    assert t8 == pytest.approx(expected)
-
-
-def test_tree_slower_than_ring_for_large_buffers():
-    assert tree_allreduce_time(1e8, 16, 1e9) > ring_allreduce_time(1e8, 16, 1e9)
 
 
 def test_collective_validation():
